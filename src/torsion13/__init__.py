@@ -4,19 +4,15 @@ one-parameter family, the sporadic curve over Q(alpha), the fiber
 classification of two degree-3 maps on a genus-2 modular curve, and the
 rational-point bookkeeping on the auxiliary hyperelliptic curves."""
 
-from .elliptic import (CurvePoint, INFINITY, TateForm, WeierstrassCurve,
-                       add_points, curve_invariants, negate_point, point_order,
-                       scalar_mul, tate_curve)
+from .elliptic import (CurvePoint, INFINITY, WeierstrassCurve, add_points, negate_point,
+                       point_order, scalar_mul, tate_curve)
 from .fields import (ExtensionFieldElement, NumberField, NumberFieldElement,
                      PrimeField, PrimeFieldElement, QuadraticExtensionField,
-                     build_quadratic_extension, field_inverse, is_rational,
-                     reduce_mod_p, splitting_fingerprint)
+                     build_quadratic_extension, splitting_fingerprint)
 from .hyperelliptic import (HyperellipticModel, ModelPoint, count_points,
-                            genus, is_smooth_mod_p, jacobian_order_fp,
-                            search_rational_points)
-from .polynomials import (Polynomial, RationalFunction, discriminant,
-                          discriminant_cubic, enumerate_rationals, poly_divmod,
-                          poly_gcd, poly_sqrt, qpoly, rat_is_square,
-                          rational_roots, resultant)
+                            is_smooth_mod_p, jacobian_order_fp, search_rational_points)
+from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,
+                          enumerate_rationals, poly_divmod, poly_gcd,
+                          poly_sqrt, qpoly, rat_is_square, rational_roots)
 
 __version__ = "0.1.0"

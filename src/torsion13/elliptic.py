@@ -9,7 +9,7 @@ coordinates are exposed.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .polynomials import frac_str
 
 
 class SingularCurveError(ValueError):
@@ -71,8 +71,7 @@ def _field_json(v):
     f = getattr(v, "to_json", None)
     if f is not None:
         return f()
-    v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}"
+    return frac_str(v)
 
 
 class WeierstrassCurve:
@@ -133,11 +132,6 @@ class WeierstrassCurve:
         return [_field_json(a) for a in self.coefficients()]
 
 
-def curve_invariants(a1, a2, a3, a4, a6):
-    """Standard invariants (b2, b4, b6, b8, c4, c6, disc, j); raises on a singular model."""
-    return WeierstrassCurve(a1, a2, a3, a4, a6).invariants()
-
-
 def negate_point(curve: WeierstrassCurve, point: CurvePoint) -> CurvePoint:
     if point.is_infinity:
         return point
@@ -195,25 +189,6 @@ def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int) -> int:
             return n
         acc = add_points(curve, acc, point)
     raise OrderBoundExceededError(f"order exceeds bound {bound}")
-
-
-class TateForm:
-    """Parameters (b, c) of the Tate normal form y^2 + (1-c)xy - by = x^3 - bx^2."""
-
-    __slots__ = ("b", "c")
-
-    def __init__(self, b, c):
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TateForm is immutable")
-
-    def curve(self) -> WeierstrassCurve:
-        return tate_curve(self.b, self.c)
-
-    def __repr__(self):
-        return f"TateForm(b={self.b}, c={self.c})"
 
 
 def tate_curve(b, c) -> WeierstrassCurve:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .elliptic import CurvePoint, WeierstrassCurve, point_order
 from .fields import NumberField
 from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,
-                          qpoly, rat_is_square, rational_roots)
+                          frac_str, qpoly, rat_is_square, rational_roots)
 
 DENOMINATOR_QUARTIC = qpoly(1, 1, 5, -1, 1)
 
@@ -153,7 +153,7 @@ class FamilyVerification:
 
     def to_json(self):
         return {
-            "t": _frac(self.t),
+            "t": frac_str(self.t),
             "on_curve": self.on_curve,
             "order": self.order,
             "disc_is_square": self.disc_is_square,
@@ -161,11 +161,6 @@ class FamilyVerification:
             "passed": self.passed,
             "failures": list(self.failures),
         }
-
-
-def _frac(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def verify_family_instance(instance: FamilyInstance, bound: int = 20) -> FamilyVerification:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import Polynomial, discriminant_cubic, poly_ext_gcd, rational_roots
+from .polynomials import Polynomial, discriminant_cubic, frac_str, poly_ext_gcd, rational_roots
 
 PRIME_CAP = 2**31
 
@@ -169,11 +169,6 @@ class PrimeFieldElement:
         return f"{self.value} (mod {self.field.p})"
 
 
-def reduce_mod_p(x, p: int) -> PrimeFieldElement:
-    """Image of a rational in F_p; BadReductionError if p divides the denominator."""
-    return PrimeField(p)(Fraction(x))
-
-
 def least_nonresidue(p: int) -> int:
     """Smallest quadratic non-residue of an odd prime, by linear scan from 2."""
     squares = {i * i % p for i in range(p)}
@@ -207,9 +202,6 @@ class QuadraticExtensionField:
     @property
     def p(self):
         return self.base.p
-
-    def modulus_polynomial(self) -> Polynomial:
-        return Polynomial([self.base(self.a0), self.base(self.a1), self.base.one])
 
     def __call__(self, value) -> ExtensionFieldElement:
         if isinstance(value, ExtensionFieldElement):
@@ -354,15 +346,6 @@ def build_quadratic_extension(p: int) -> QuadraticExtensionField:
     if p == 2:
         return QuadraticExtensionField(base, (1, 1))
     return QuadraticExtensionField(base, (-least_nonresidue(p), 0))
-
-
-def field_inverse(x):
-    """Multiplicative inverse in any of the supported field kinds (and Q)."""
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / x
-    return x.inverse()
 
 
 class NumberField:
@@ -555,7 +538,7 @@ class NumberFieldElement:
     def to_json(self):
         """JSON form: coordinate triple of rational strings plus the minimal polynomial."""
         return {
-            "coordinates": [f"{c.numerator}/{c.denominator}" for c in self.coords],
+            "coordinates": [frac_str(c) for c in self.coords],
             "minimal_polynomial": self.field.minimal_polynomial.to_json(),
         }
 
@@ -564,13 +547,6 @@ class NumberFieldElement:
         field = NumberField(Polynomial.from_json(data["minimal_polynomial"]))
         c0, c1, c2 = (Fraction(s) for s in data["coordinates"])
         return cls(field, c0, c1, c2)
-
-
-def is_rational(x) -> bool:
-    """Whether a number-field element (or plain rational) lies in Q."""
-    if isinstance(x, (int, Fraction)):
-        return True
-    return x.is_rational()
 
 
 def splitting_fingerprint(f: Polynomial, bound: int):

@@ -5,8 +5,10 @@ infinity, U = 1/u and V = v/u^(g+1), which turns the equation into
 V^2 + ht(U)V = ft(U) with ht = U^(g+1) h(1/U) and ft = U^(2g+2) f(1/U).
 The U = 0 fiber of that chart carries the points at infinity.
 
-Point counting over F_p and F_{p^2} is exhaustive enumeration; the
-genus-2 Jacobian order comes from the zeta-function bookkeeping
+One exhaustive enumerator walks the reduced curve over F_p or F_{p^2}:
+every u on the affine chart, then U = 0 on the infinity chart.  Point
+counts, the set of points mod p and the good-reduction test all read it.
+The genus-2 Jacobian order comes from the zeta-function bookkeeping
 N1, N2 -> (s1, s2) -> P(1).
 """
 
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import BadReductionError, PrimeField, build_quadratic_extension
-from .polynomials import (Polynomial, enumerate_rationals, poly_gcd,
-                          rat_is_square)
+from .polynomials import Polynomial, enumerate_rationals, frac_str, poly_gcd, rat_is_square
 
 
 @dataclass(frozen=True)
@@ -30,15 +31,10 @@ class ModelPoint:
 
     def to_json(self):
         return {
-            "u": "inf" if self.chart == "infinity" else _frac_str(self.u),
-            "v": _frac_str(self.v),
+            "u": "inf" if self.chart == "infinity" else frac_str(self.u),
+            "v": frac_str(self.v),
             "chart": self.chart,
         }
-
-
-def _frac_str(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 class HyperellipticModel:
@@ -119,59 +115,39 @@ def _quadratic_roots(h0: Fraction, f0: Fraction):
     return sorted(((-h0 - s) / 2, (-h0 + s) / 2))
 
 
-def genus(model: HyperellipticModel) -> int:
-    return model.genus
+def _reduced_points(model: HyperellipticModel, field):
+    """Yield (chart, f, h, u, v) for every point of the curve over a finite field.
+
+    f and h are the chart's reduced polynomials.  The affine chart is
+    walked for every u; the infinity chart only at U = 0, which is exactly
+    the locus the affine chart misses.
+    """
+    fbar, hbar, ftbar, htbar = model.reduce_coefficients(field)
+    elements = list(field.elements())
+    for chart, f, h, us in (("affine", fbar, hbar, elements),
+                            ("infinity", ftbar, htbar, [field.zero])):
+        for u in us:
+            fu, hu = f(u), h(u)
+            for v in elements:
+                if v * v + hu * v == fu:
+                    yield chart, f, h, u, v
 
 
 def count_points(model: HyperellipticModel, field) -> int:
     """Number of points over a finite field, both charts, by exhaustive enumeration."""
-    fbar, hbar, ftbar, htbar = model.reduce_coefficients(field)
-    elements = list(field.elements())
-    total = 0
-    for u in elements:
-        fu = fbar(u)
-        hu = hbar(u)
-        for v in elements:
-            if v * v + hu * v == fu:
-                total += 1
-    zero = field.zero
-    f0 = ftbar(zero)
-    h0 = htbar(zero)
-    for v in elements:
-        if v * v + h0 * v == f0:
-            total += 1
-    return total
+    return sum(1 for _ in _reduced_points(model, field))
 
 
 def is_smooth_mod_p(model: HyperellipticModel, p: int) -> bool:
     """Good reduction test: no singular point on either chart of the curve mod p.
 
-    A point is singular when F = dF/du = dF/dv = 0 for F = v^2 + hv - f.
-    The affine chart is scanned fully; the infinity chart only along U = 0,
-    which is exactly the locus the affine chart misses.
+    A point of F = v^2 + hv - f is singular when dF/dv = 2v + h(u) and
+    dF/du = h'(u)v - f'(u) both vanish there.
     """
-    field = PrimeField(p)
-    fbar, hbar, ftbar, htbar = model.reduce_coefficients(field)
-    if _chart_has_singular_point(fbar, hbar, field, full_scan=True):
-        return False
-    if _chart_has_singular_point(ftbar, htbar, field, full_scan=False):
-        return False
+    for _, f, h, u, v in _reduced_points(model, PrimeField(p)):
+        if not (2 * v + h(u)) and h.derivative()(u) * v == f.derivative()(u):
+            return False
     return True
-
-
-def _chart_has_singular_point(fbar, hbar, field, full_scan: bool) -> bool:
-    fprime = fbar.derivative()
-    hprime = hbar.derivative()
-    us = list(field.elements()) if full_scan else [field.zero]
-    for u in us:
-        fu, hu = fbar(u), hbar(u)
-        fpu, hpu = fprime(u), hprime(u)
-        for v in field.elements():
-            if (v * v + hu * v - fu) == field.zero and \
-                    (hpu * v - fpu) == field.zero and \
-                    (2 * v + hu) == field.zero:
-                return True
-    return False
 
 
 def search_rational_points(model: HyperellipticModel, height: int):
@@ -233,17 +209,5 @@ def mod_p_residues(model: HyperellipticModel, points, p: int):
 
 def points_mod_p(model: HyperellipticModel, p: int):
     """All points of the reduced curve over F_p, as hashable tuples (same keys as residues)."""
-    field = PrimeField(p)
-    fbar, hbar, ftbar, htbar = model.reduce_coefficients(field)
-    pts = set()
-    for u in field.elements():
-        fu, hu = fbar(u), hbar(u)
-        for v in field.elements():
-            if v * v + hu * v == fu:
-                pts.add(("affine", u.value, v.value))
-    zero = field.zero
-    f0, h0 = ftbar(zero), htbar(zero)
-    for v in field.elements():
-        if v * v + h0 * v == f0:
-            pts.add(("infinity", 0, v.value))
-    return pts
+    return {(chart, u.value, v.value)
+            for chart, _, _, u, v in _reduced_points(model, PrimeField(p))}

@@ -8,9 +8,10 @@ zero; the zero polynomial has an empty coefficient tuple and degree -inf.
 Coefficients may be Fractions, ints, finite-field elements, number-field
 elements, or Polynomials themselves, as long as they support ring
 arithmetic and truthiness (zero is falsy).  Operations that divide
-(divmod, gcd, resultants) additionally need field coefficients.
+(divmod, gcd) additionally need field coefficients.
 Rational-specific helpers (rational_roots, poly_sqrt, serialization)
 expect Fraction coefficients; qpoly() builds those conveniently.
+frac_str() is the one "num/den" serializer every JSON form uses.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 NEG_INFINITY = float("-inf")
+
+
+def frac_str(x) -> str:
+    """A rational as the exact JSON string "num/den" (denominator 1 included)."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _invert(c):
@@ -180,11 +187,7 @@ class Polynomial:
 
     def to_json(self):
         """Serialize as a list of "num/den" strings, constant term first."""
-        out = []
-        for c in self.coeffs:
-            f = Fraction(c)
-            out.append(f"{f.numerator}/{f.denominator}")
-        return out
+        return [frac_str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data) -> Polynomial:
@@ -264,44 +267,6 @@ def discriminant_cubic(a, b, c, d):
     """
     return (18 * (a * b * c * d) - 4 * (b * b * b * d) + (b * b) * (c * c)
             - 4 * (a * c * c * c) - 27 * (a * a * d * d))
-
-
-def resultant(a: Polynomial, b: Polynomial):
-    """Resultant over a coefficient field, Sylvester-determinant convention.
-
-    Res(a, b) = lc(a)^deg(b) * prod b(alpha_i) over the roots alpha_i of a,
-    equivalently det of the Sylvester matrix of (a, b).  In particular
-    Res(x - u, x - v) = u - v, and for a cubic p one has
-    disc(p) = -Res(p, p') / lc(p).
-
-    >>> resultant(qpoly(-2, 1), qpoly(-3, 1))
-    Fraction(-1, 1)
-    >>> resultant(qpoly(1, 0, 1), qpoly(0, 1))
-    Fraction(1, 1)
-    """
-    if a.is_zero() and b.is_zero():
-        raise ValueError("resultant of two zero polynomials")
-    if a.is_zero() or b.is_zero():
-        return Fraction(0)
-    acc = Fraction(1)
-    while b.degree > 0:
-        r = poly_divmod(a, b)[1]
-        if r.is_zero():
-            return 0 * a.coeffs[0]
-        da, db, dr = a.degree, b.degree, r.degree
-        sign = -1 if (da * db) % 2 else 1
-        acc = acc * sign * b.coeffs[-1] ** (da - dr)
-        a, b = b, r
-    return acc * b.coeffs[-1] ** a.degree
-
-
-def discriminant(p: Polynomial):
-    """Discriminant via resultants: (-1)^(n(n-1)/2) Res(p, p') / lc(p)."""
-    n = p.degree
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) * _invert(p.coeffs[-1])
 
 
 def rat_is_square(r):

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .hyperelliptic import HyperellipticModel, ModelPoint, jacobian_order_fp, is_smooth_mod_p
+from .hyperelliptic import HyperellipticModel, ModelPoint, jacobian_order_fp
 from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,
-                          enumerate_rationals, poly_sqrt, qpoly, rat_is_square,
-                          rational_roots)
+                          enumerate_rationals, frac_str, poly_sqrt, qpoly,
+                          rat_is_square, rational_roots)
 
 # model of X: h = x^3 + x^2 + 1, f = x^2 + x
 X13_MODEL = HyperellipticModel(f=qpoly(0, 1, 1), h=qpoly(1, 0, 1, 1))
@@ -84,19 +84,14 @@ class FiberClassification:
     def to_json(self):
         return {
             "map": self.map.value,
-            "value": _frac(self.value),
+            "value": frac_str(self.value),
             "kind": self.kind.value,
             "cubic": self.cubic.to_json(),
-            "rational_roots": [_frac(r) for r in self.rational_roots],
-            "discriminant": _frac(self.discriminant),
+            "rational_roots": [frac_str(r) for r in self.rational_roots],
+            "discriminant": frac_str(self.discriminant),
             "discriminant_is_square": self.discriminant_is_square,
             "includes_infinity": self.includes_infinity,
         }
-
-
-def _frac(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _clear_denominators(p: Polynomial) -> Polynomial:
@@ -224,8 +219,6 @@ def nineteen_divisibility(primes) -> dict:
     for p in primes:
         if p == 13:
             raise ValueError("13 is the bad prime of the model")
-        if not is_smooth_mod_p(X13_MODEL, p):
-            raise ValueError(f"model has bad reduction at {p}")
         order = jacobian_order_fp(X13_MODEL, p)
         out[p] = {"jacobian_order": order, "divisible_by_19": order % 19 == 0}
     return out

@@ -45,7 +45,16 @@ class TestCount:
         assert code == 0
         report = json_lines(out)[-1]
         assert report["details"]["count"] == 3
+        assert report["details"]["good_reduction"] is True
         assert report["status"] == "pass"
+
+    @pytest.mark.parametrize("curve, p", [("x", "13"), ("d1", "2")])
+    def test_bad_reduction_never_passes(self, capsys, curve, p):
+        code, out, _ = run_cli(capsys, "count", "--curve", curve, "--p", p)
+        assert code == 1
+        report = json_lines(out)[-1]
+        assert report["details"]["good_reduction"] is False
+        assert report["status"] == "fail"
 
     def test_non_prime_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "count", "--curve", "d2min", "--p", "4")
@@ -147,6 +156,19 @@ class TestHarness:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["search", "--curve", "d1", "--height", "0"], "--height: must be >= 1"),
+        (["search", "--curve", "d1", "--height", "-3"], "--height: must be >= 1"),
+        (["family", "sweep", "--height", "0"], "--height: must be >= 1"),
+        (["count", "--curve", "x", "--p", "1009"], "--p: must be <= 1000"),
+        (["count", "--curve", "x", "--p", "2147483647"], "--p: must be <= 1000"),
+    ], ids=["search-0", "search-negative", "sweep-0", "count-1009", "count-2^31-1"])
+    def test_out_of_range_bound_exits_2_before_any_work(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_json_only_suppresses_stderr(self, capsys):
         _, _, err = run_cli(capsys, "count", "--curve", "x", "--p", "3", "--json-only")

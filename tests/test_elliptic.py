@@ -4,15 +4,13 @@ from fractions import Fraction
 import pytest
 
 from torsion13.elliptic import (INFINITY, CurvePoint, OrderBoundExceededError,
-                                SingularCurveError, TateForm, WeierstrassCurve,
-                                add_points, curve_invariants, negate_point,
+                                SingularCurveError, WeierstrassCurve,
+                                add_points, negate_point,
                                 point_order, scalar_mul, tate_curve, tate_origin)
 from torsion13.family import build_family_instance
 from torsion13.fields import PrimeField
 from torsion13.polynomials import Polynomial, poly_divmod
 from torsion13.sporadic import sporadic_curve
-
-Q0 = Fraction(0)
 
 
 def qcurve(a1=0, a2=0, a3=0, a4=0, a6=0):
@@ -81,7 +79,7 @@ class TestInvariants:
         assert not curve.j.is_rational()
 
     def test_curve_invariants_function(self):
-        out = curve_invariants(Q0, Q0, Q0, Fraction(1), Q0)
+        out = qcurve(a4=1).invariants()
         assert out[6] == -64
 
 
@@ -201,12 +199,9 @@ class TestTateForm:
     def test_zero_parameters_singular(self):
         with pytest.raises(SingularCurveError):
             tate_curve(Fraction(0), Fraction(0))
-        with pytest.raises(SingularCurveError):
-            TateForm(Fraction(0), Fraction(0)).curve()
 
     def test_tate_form_wrapper(self):
-        form = TateForm(Fraction(1), Fraction(1))
-        curve = form.curve()
+        curve = tate_curve(Fraction(1), Fraction(1))
         assert (curve.a1, curve.a2, curve.a3) == (0, -1, -1)
         assert point_order(curve, tate_origin(curve), 10) == 5
 

@@ -7,7 +7,6 @@ from torsion13.family import (A_FUNCTION, B_FUNCTION, DENOMINATOR_QUARTIC,
                               build_family_instance, jeon_parameter,
                               verify_family_instance, verify_w_disc_identity,
                               w_cubic, w_cubic_discriminant_target)
-from torsion13.fields import is_rational
 from torsion13.polynomials import (discriminant_cubic, enumerate_rationals,
                                    qpoly)
 
@@ -59,7 +58,7 @@ class TestVerifyInstance:
             assert not q.is_infinity
             assert (q.x.coords, q.y.coords) not in seen
             seen.add((q.x.coords, q.y.coords))
-            assert not (is_rational(q.x) and is_rational(q.y))
+            assert not (q.x.is_rational() and q.y.is_rational())
 
     def test_disc_positive_for_samples(self):
         for t in [Fraction(1), Fraction(-3), Fraction(5, 7), Fraction(-1, 9)]:

