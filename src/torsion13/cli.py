@@ -33,6 +33,8 @@ MODELS = {
 
 # count enumerates O(p^2) pairs; p = 997 takes seconds, larger p is refused
 COUNT_P_CAP = 1000
+# the fingerprint tests every prime below the bound; its cost grows faster than the bound
+FINGERPRINT_BOUND_CAP = 10000
 
 SIEVE_PRIMES = (3, 7, 11)
 JACOBIAN_PRIMES = (3, 5, 7, 11, 19, 23)
@@ -56,8 +58,18 @@ CLAIMS = {
     "smooth.d2min.2": "the minimal model of the genus-3 curve has good reduction at 2",
     "jacobian.19": "19 divides the Jacobian order of the modular curve over F_p at good primes",
     "count": "point count of the reduced curve over F_p",
+    "sporadic.minimal_polynomial_irreducible": "x^3 - x^2 - 82x + 64 is irreducible over Q",
+    "sporadic.polynomial_discriminant": "disc(x^3 - x^2 - 82x + 64) = 1482^2 and 1482^2/247^2 is a perfect square",
+    "sporadic.curve_nonsingular": "the Tate-form curve over Q(alpha) is nonsingular",
+    "sporadic.origin_has_order_13": "the point (0,0) on the sporadic curve has order exactly 13",
+    "sporadic.j_invariant_irrational": "the sporadic curve's j-invariant is not rational",
     "sporadic.fingerprint": "the fiber cubic above -4/13 splits mod p exactly like the field cubic at every tested prime",
 }
+
+# the assertions of sporadic.verify_sporadic, in its order
+SPORADIC_ASSERTIONS = ("minimal_polynomial_irreducible", "polynomial_discriminant",
+                       "curve_nonsingular", "origin_has_order_13",
+                       "j_invariant_irrational")
 
 
 def _check_x13_points():
@@ -78,19 +90,22 @@ def _check_w_disc():
     }
 
 
-def _check_family_sweep(height: int):
-    verified = []
+def _check_family_sweep(height: int, emit=lambda line: None):
+    """Build and verify each nonzero parameter once; `emit` gets one line per parameter."""
+    checked = 0
     failures = []
     for t in enumerate_rationals(height):
         if t == 0:
             continue
-        outcome = family_mod.verify_family_instance(family_mod.build_family_instance(t))
-        verified.append(outcome)
+        instance = family_mod.build_family_instance(t)
+        outcome = family_mod.verify_family_instance(instance)
+        checked += 1
+        emit(_family_details(instance, outcome))
         if not outcome.passed:
             failures.append(outcome.to_json())
     return (PASS if not failures else FAIL), {
         "height": height,
-        "parameters_checked": len(verified),
+        "parameters_checked": checked,
         "failures": failures,
     }
 
@@ -113,31 +128,37 @@ def _check_family_instance(t: Fraction):
     return (PASS if outcome.passed else FAIL), _family_details(instance, outcome)
 
 
-def _check_disc_identity(fiber_map: x13.FiberMap):
-    report = x13.verify_disc_identity(fiber_map)
-    return PASS, report.to_json()
+def _check_fiber_classify(fiber_map: x13.FiberMap, value: Fraction, emit):
+    details = x13.classify_fiber(fiber_map, value).to_json()
+    emit(details)
+    return PASS, details
 
 
-def _check_search(curve: str, height: int, expect: int | None = None):
+def _check_search(curve: str, height: int, emit):
+    """One line per found point, then a report with the count."""
     points = search_rational_points(MODELS[curve], height)
-    ok = expect is None or len(points) == expect
-    details = {
+    for pt in points:
+        emit(pt.to_json())
+    return PASS, {"curve": curve, "height": height, "count": len(points)}
+
+
+def _check_expected_search(curve: str, height: int, points, expect: int):
+    return (PASS if len(points) == expect else FAIL), {
         "curve": curve,
         "height": height,
         "count": len(points),
         "points": [pt.to_json() for pt in points],
+        "expected_count": expect,
     }
-    if expect is not None:
-        details["expected_count"] = expect
-    return (PASS if ok else FAIL), details
 
 
-def _check_d1_sieve(height: int = 100):
+def _check_d1_sieve(points, height: int):
     """Consistency certificate at good primes: every found point reduces onto
     the reduced curve; residue classes with no found point are recorded as
     unfilled (their emptiness over Q rests on methods outside this artifact)."""
+    if points is None:
+        raise RuntimeError("no d1 points: the search of search.d1.expected did not complete")
     model = MODELS["d1"]
-    points = search_rational_points(model, height)
     per_prime = {}
     consistent = True
     for p in SIEVE_PRIMES:
@@ -191,10 +212,15 @@ def _check_jacobian_divisibility(primes):
 
 
 def _run_sporadic(sink: ReportSink, fingerprint_bound: int):
-    for result in sporadic_mod.verify_sporadic():
-        sink.run_check(
-            f"sporadic.{result.name}", _sporadic_claim(result.name),
-            lambda r=result: ((PASS if r.passed else FAIL), {"detail": r.detail}))
+    results = {}
+
+    def assertion(name):
+        if not results:  # the first assertion's check computes all five
+            results.update((r.name, r) for r in sporadic_mod.verify_sporadic())
+        return (PASS if results[name].passed else FAIL), {"detail": results[name].detail}
+
+    for name in SPORADIC_ASSERTIONS:
+        sink.run_check(f"sporadic.{name}", lambda n=name: assertion(n))
 
     def fingerprint_check():
         fingerprint = sporadic_mod.fiber_field_evidence(fingerprint_bound)
@@ -204,40 +230,30 @@ def _run_sporadic(sink: ReportSink, fingerprint_bound: int):
                  and fingerprint.contrast_first_disagreement is not None)
         return (EVIDENCE if sound else FAIL), fingerprint.to_json()
 
-    sink.run_check("sporadic.fingerprint", CLAIMS["sporadic.fingerprint"],
-                   fingerprint_check)
-
-
-def _sporadic_claim(name: str) -> str:
-    return {
-        "minimal_polynomial_irreducible": "x^3 - x^2 - 82x + 64 is irreducible over Q",
-        "polynomial_discriminant": "disc(x^3 - x^2 - 82x + 64) = 1482^2 and 1482^2/247^2 is a perfect square",
-        "curve_nonsingular": "the Tate-form curve over Q(alpha) is nonsingular",
-        "origin_has_order_13": "the point (0,0) on the sporadic curve has order exactly 13",
-        "j_invariant_irrational": "the sporadic curve's j-invariant is not rational",
-    }.get(name, name)
+    sink.run_check("sporadic.fingerprint", fingerprint_check)
 
 
 def _run_verify_all(sink: ReportSink):
-    sink.run_check("x13.points", CLAIMS["x13.points"], _check_x13_points)
-    sink.run_check("family.w_disc", CLAIMS["family.w_disc"], _check_w_disc)
-    sink.run_check("family.sweep", CLAIMS["family.sweep"],
-                   lambda: _check_family_sweep(5))
-    sink.run_check("fiber.disc.y", CLAIMS["fiber.disc.y"],
-                   lambda: _check_disc_identity(x13.FiberMap.Y))
-    sink.run_check("fiber.disc.t", CLAIMS["fiber.disc.t"],
-                   lambda: _check_disc_identity(x13.FiberMap.T))
-    sink.run_check("search.d1.expected", CLAIMS["search.d1.expected"],
-                   lambda: _check_search("d1", 100, expect=5))
-    sink.run_check("sieve.d1", CLAIMS["sieve.d1"], _check_d1_sieve)
-    sink.run_check("search.d2.expected", CLAIMS["search.d2.expected"],
-                   lambda: _check_search("d2", 100, expect=3))
-    sink.run_check("count.d2min.2", CLAIMS["count.d2min.2"],
-                   lambda: _check_count("d2min", 2, expect=3))
-    sink.run_check("smooth.d2min.2", CLAIMS["smooth.d2min.2"],
-                   lambda: _check_smooth("d2min", 2, expect=True))
-    sink.run_check("jacobian.19", CLAIMS["jacobian.19"],
-                   lambda: _check_jacobian_divisibility(JACOBIAN_PRIMES))
+    d1_points = None  # found inside search.d1.expected, reused by sieve.d1
+
+    def search_d1():
+        nonlocal d1_points
+        d1_points = search_rational_points(MODELS["d1"], 100)
+        return _check_expected_search("d1", 100, d1_points, expect=5)
+
+    sink.run_check("x13.points", _check_x13_points)
+    sink.run_check("family.w_disc", _check_w_disc)
+    sink.run_check("family.sweep", lambda: _check_family_sweep(5))
+    for fiber_map in x13.FiberMap:  # fiber.disc.y, then fiber.disc.t
+        sink.run_check(f"fiber.disc.{fiber_map.value}",
+                       lambda m=fiber_map: (PASS, x13.verify_disc_identity(m).to_json()))
+    sink.run_check("search.d1.expected", search_d1)
+    sink.run_check("sieve.d1", lambda: _check_d1_sieve(d1_points, 100))
+    sink.run_check("search.d2.expected", lambda: _check_expected_search(
+        "d2", 100, search_rational_points(MODELS["d2"], 100), expect=3))
+    sink.run_check("count.d2min.2", lambda: _check_count("d2min", 2, expect=3))
+    sink.run_check("smooth.d2min.2", lambda: _check_smooth("d2min", 2, expect=True))
+    sink.run_check("jacobian.19", lambda: _check_jacobian_divisibility(JACOBIAN_PRIMES))
     _run_sporadic(sink, 1000)
 
 
@@ -303,59 +319,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_sporadic = sub.add_parser("sporadic", parents=[common], help="the sporadic curve")
     sporadic_sub = p_sporadic.add_subparsers(dest="verb", required=True)
     p_sverify = sporadic_sub.add_parser("verify", parents=[common])
-    p_sverify.add_argument("--fingerprint-bound", type=int, default=1000)
+    p_sverify.add_argument("--fingerprint-bound", default=1000,
+                           type=_int_between(50, FINGERPRINT_BOUND_CAP))
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    sink = ReportSink(json_only=getattr(args, "json_only", False))
+    sink = ReportSink(CLAIMS, json_only=getattr(args, "json_only", False))
 
     if args.command == "verify-all":
         _run_verify_all(sink)
+    elif args.command == "family" and args.verb == "verify":
+        if args.t == 0:
+            print("parameter t must be nonzero", file=sys.stderr)
+            return 2
+        sink.run_check("family.instance", lambda: _check_family_instance(args.t))
     elif args.command == "family":
-        if args.verb == "verify":
-            if args.t == 0:
-                print("parameter t must be nonzero", file=sys.stderr)
-                return 2
-            sink.run_check("family.instance", CLAIMS["family.instance"],
-                           lambda: _check_family_instance(args.t))
-        else:
-            # one JSON object per parameter value, then the summary report
-            for t in enumerate_rationals(args.height):
-                if t == 0:
-                    continue
-                instance = family_mod.build_family_instance(t)
-                outcome = family_mod.verify_family_instance(instance)
-                sink.emit_raw(_family_details(instance, outcome))
-            sink.run_check("family.sweep", CLAIMS["family.sweep"],
-                           lambda: _check_family_sweep(args.height))
+        sink.run_check("family.sweep",
+                       lambda: _check_family_sweep(args.height, sink.emit_raw))
     elif args.command == "fiber":
-        fmap = x13.FiberMap.Y if args.map == "y" else x13.FiberMap.T
-        classification = x13.classify_fiber(fmap, args.value)
-        sink.emit_raw(classification.to_json())
-        sink.run_check("fiber.classify", CLAIMS["fiber.classify"],
-                       lambda: (PASS, classification.to_json()))
+        sink.run_check("fiber.classify", lambda: _check_fiber_classify(
+            x13.FiberMap(args.map), args.value, sink.emit_raw))
     elif args.command == "search":
-        points = search_rational_points(MODELS[args.curve], args.height)
-        for pt in points:
-            sink.emit_raw(pt.to_json())
-        sink.run_check(f"search.{args.curve}", CLAIMS[f"search.{args.curve}"],
-                       lambda: (PASS, {"curve": args.curve, "height": args.height,
-                                       "count": len(points)}))
+        sink.run_check(f"search.{args.curve}",
+                       lambda: _check_search(args.curve, args.height, sink.emit_raw))
     elif args.command == "count":
         try:
             PrimeField(args.p)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        sink.run_check("count", CLAIMS["count"],
-                       lambda: _check_count(args.curve, args.p))
+        sink.run_check("count", lambda: _check_count(args.curve, args.p))
     elif args.command == "sporadic":
-        if args.fingerprint_bound < 50:
-            print("fingerprint bound must be >= 50", file=sys.stderr)
-            return 2
         _run_sporadic(sink, args.fingerprint_bound)
 
     if not sink.json_only:

@@ -72,14 +72,6 @@ def verify_w_disc_identity() -> bool:
     return disc == w_cubic_discriminant_target()
 
 
-def jeon_parameter(t) -> Fraction:
-    """Translate the parameter to the normalization -7/72 - 1/(36t)."""
-    t = Fraction(t)
-    if t == 0:
-        raise ValueError("parameter must be nonzero")
-    return Fraction(-7, 72) - Fraction(1, 1) / (36 * t)
-
-
 @dataclass(frozen=True)
 class FamilyInstance:
     """One member of the family at a rational parameter value.

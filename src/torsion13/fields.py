@@ -542,12 +542,6 @@ class NumberFieldElement:
             "minimal_polynomial": self.field.minimal_polynomial.to_json(),
         }
 
-    @classmethod
-    def from_json(cls, data) -> NumberFieldElement:
-        field = NumberField(Polynomial.from_json(data["minimal_polynomial"]))
-        c0, c1, c2 = (Fraction(s) for s in data["coordinates"])
-        return cls(field, c0, c1, c2)
-
 
 def splitting_fingerprint(f: Polynomial, bound: int):
     """Root counts of a monic irreducible cubic modulo unramified primes up to bound.

@@ -97,13 +97,6 @@ class HyperellipticModel:
     def __repr__(self):
         return f"HyperellipticModel(f={self.f}, h={self.h}, genus={self.genus})"
 
-    def to_json(self):
-        return {"f": self.f.to_json(), "h": self.h.to_json()}
-
-    @classmethod
-    def from_json(cls, data) -> HyperellipticModel:
-        return cls(Polynomial.from_json(data["f"]), Polynomial.from_json(data["h"]))
-
 
 def _quadratic_roots(h0: Fraction, f0: Fraction):
     """Rational solutions v of v^2 + h0 v = f0, sorted ascending."""

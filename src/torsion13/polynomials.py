@@ -189,10 +189,6 @@ class Polynomial:
         """Serialize as a list of "num/den" strings, constant term first."""
         return [frac_str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data) -> Polynomial:
-        return cls([Fraction(s) for s in data])
-
 
 def qpoly(*coeffs) -> Polynomial:
     """Polynomial over Q from int/Fraction coefficients, constant term first.

@@ -38,9 +38,13 @@ class VerificationReport:
 
 
 class ReportSink:
-    """Collects reports, mirrors them as JSON lines, and tracks failure."""
+    """Collects reports, mirrors them as JSON lines, and tracks failure.
 
-    def __init__(self, stream=None, human_stream=None, json_only: bool = False):
+    `claims` maps each check id to the claim it checks, in words."""
+
+    def __init__(self, claims: dict, stream=None, human_stream=None,
+                 json_only: bool = False):
+        self.claims = claims
         self.stream = stream if stream is not None else sys.stdout
         self.human_stream = human_stream if human_stream is not None else sys.stderr
         self.json_only = json_only
@@ -57,15 +61,18 @@ class ReportSink:
         """A non-report JSON line, e.g. one object per found search point."""
         print(json.dumps(payload, sort_keys=True), file=self.stream)
 
-    def run_check(self, check_id: str, claim_ref: str, fn):
-        """Time a check returning (status, details) and emit the report."""
+    def run_check(self, check_id: str, fn):
+        """Time a check returning (status, details) and emit the report.
+
+        Lines that `fn` emits with `emit_raw` come before its report."""
         start = time.monotonic()
         try:
             status, details = fn()
         except Exception as exc:  # surfaced as a failing report, not a crash
             status, details = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
         elapsed = int((time.monotonic() - start) * 1000)
-        report = VerificationReport(check_id, status, claim_ref, details, elapsed)
+        report = VerificationReport(check_id, status, self.claims[check_id],
+                                    details, elapsed)
         self.emit(report)
         return report
 

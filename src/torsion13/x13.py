@@ -20,8 +20,7 @@ from math import gcd
 
 from .hyperelliptic import HyperellipticModel, ModelPoint, jacobian_order_fp
 from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,
-                          enumerate_rationals, frac_str, poly_sqrt, qpoly,
-                          rat_is_square, rational_roots)
+                          frac_str, poly_sqrt, qpoly, rat_is_square, rational_roots)
 
 # model of X: h = x^3 + x^2 + 1, f = x^2 + x
 X13_MODEL = HyperellipticModel(f=qpoly(0, 1, 1), h=qpoly(1, 0, 1, 1))
@@ -222,8 +221,3 @@ def nineteen_divisibility(primes) -> dict:
         order = jacobian_order_fp(X13_MODEL, p)
         out[p] = {"jacobian_order": order, "divisible_by_19": order % 19 == 0}
     return out
-
-
-def classify_sweep(fiber_map: FiberMap, height: int):
-    """Classification of every fiber over rationals of height <= height."""
-    return {v: classify_fiber(fiber_map, v) for v in enumerate_rationals(height)}

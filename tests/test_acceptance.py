@@ -21,7 +21,7 @@ from torsion13.polynomials import (Polynomial, discriminant_cubic,
 from torsion13.sporadic import sporadic_curve, verify_sporadic
 from torsion13.x13 import (D1_MODEL, D2_MIN_MODEL, D2_RAW_MODEL, FiberKind,
                            FiberMap, X13_MODEL, X13_RATIONAL_POINTS,
-                           classify_sweep, nineteen_divisibility,
+                           classify_fiber, nineteen_divisibility,
                            verify_disc_identity)
 
 from oracles import divisor_class_count
@@ -146,7 +146,7 @@ def test_fiber_classification_sweep():
     for irreducible y-map fibers the two squareness routes (fiber-cubic
     discriminant vs d1 at the value) must agree."""
     from torsion13.x13 import D1_POLY
-    y_sweep = classify_sweep(FiberMap.Y, 30)
+    y_sweep = {v: classify_fiber(FiberMap.Y, v) for v in enumerate_rationals(30)}
     cyclic_y = sorted(v for v, c in y_sweep.items()
                       if c.kind is FiberKind.CYCLIC_CUBIC)
     assert cyclic_y == [Fraction(-4, 13)]
@@ -154,7 +154,7 @@ def test_fiber_classification_sweep():
         if c.kind in (FiberKind.CYCLIC_CUBIC, FiberKind.NON_CYCLIC_CUBIC):
             d1_square, _ = rat_is_square(D1_POLY(v))
             assert c.discriminant_is_square == d1_square
-    t_sweep = classify_sweep(FiberMap.T, 30)
+    t_sweep = {v: classify_fiber(FiberMap.T, v) for v in enumerate_rationals(30)}
     cyclic_t = [v for v, c in t_sweep.items() if c.kind is FiberKind.CYCLIC_CUBIC]
     assert cyclic_t == []
     print(f"  values classified per map: {len(y_sweep)}")

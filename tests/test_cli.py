@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from torsion13 import cli, family, x13
 from torsion13.cli import main
 
 
@@ -32,6 +34,17 @@ class TestSearch:
         points = [l for l in json_lines(out) if "chart" in l]
         assert len(points) == 3
         assert any(p["u"] == "inf" for p in points)
+
+    def test_elapsed_ms_times_the_search(self, capsys, monkeypatch):
+        search = cli.search_rational_points
+
+        def slow_search(model, height):
+            time.sleep(0.05)
+            return search(model, height)
+
+        monkeypatch.setattr(cli, "search_rational_points", slow_search)
+        _, out, _ = run_cli(capsys, "search", "--curve", "x", "--height", "3")
+        assert json_lines(out)[-1]["elapsed_ms"] >= 50
 
     def test_point_log_shape(self, capsys):
         _, out, _ = run_cli(capsys, "search", "--curve", "d1", "--height", "5")
@@ -103,9 +116,18 @@ class TestFamily:
         code, _, _ = run_cli(capsys, "family", "verify", "--t", "0")
         assert code == 2
 
-    def test_sweep(self, capsys):
+    def test_sweep(self, capsys, monkeypatch):
+        calls = []
+        build = family.build_family_instance
+
+        def counting_build(t):
+            calls.append(t)
+            return build(t)
+
+        monkeypatch.setattr(family, "build_family_instance", counting_build)
         code, out, _ = run_cli(capsys, "family", "sweep", "--height", "2")
         assert code == 0
+        assert len(calls) == 6  # each parameter is built once
         lines = json_lines(out)
         per_t = [l for l in lines if "check_id" not in l]
         assert len(per_t) == 6  # height <= 2, t != 0
@@ -135,10 +157,27 @@ class TestSporadic:
         assert all(l["claim_ref"] for l in json_lines(out))
 
 
+def counting_search(monkeypatch, fail_on=None):
+    """Record the curve model of each search; raise for the model `fail_on`."""
+    models = []
+    search = cli.search_rational_points
+
+    def wrapped(model, height):
+        models.append(model)
+        if model is fail_on:
+            raise ArithmeticError("search broke")
+        return search(model, height)
+
+    monkeypatch.setattr(cli, "search_rational_points", wrapped)
+    return models
+
+
 class TestVerifyAll:
-    def test_runs_every_check_and_exits_zero(self, capsys):
+    def test_runs_every_check_and_exits_zero(self, capsys, monkeypatch):
+        models = counting_search(monkeypatch)
         code, out, err = run_cli(capsys, "verify-all")
         assert code == 0
+        assert models == [x13.D1_MODEL, x13.D2_RAW_MODEL]  # each search once
         reports = json_lines(out)
         assert len(reports) == 17
         assert all(r["status"] in ("pass", "evidence") for r in reports)
@@ -150,8 +189,37 @@ class TestVerifyAll:
                 "sporadic.origin_has_order_13"} <= ids
         assert "checks:" in err  # human summary on stderr
 
+    def test_failed_d1_search_fails_the_sieve(self, capsys, monkeypatch):
+        models = counting_search(monkeypatch, fail_on=x13.D1_MODEL)
+        code, out, _ = run_cli(capsys, "verify-all")
+        assert code == 1
+        assert models == [x13.D1_MODEL, x13.D2_RAW_MODEL]
+        status = {r["check_id"]: r for r in json_lines(out)}
+        assert status["search.d1.expected"]["status"] == "fail"
+        assert "search broke" in status["search.d1.expected"]["details"]["error"]
+        assert status["sieve.d1"]["status"] == "fail"
+        assert "error" in status["sieve.d1"]["details"]
+        assert status["search.d2.expected"]["status"] == "pass"
+
 
 class TestHarness:
+    @pytest.mark.parametrize("target, argv", [
+        ((cli, "search_rational_points"), ["search", "--curve", "d1", "--height", "5"]),
+        ((x13, "classify_fiber"), ["fiber", "classify", "--map", "y", "--value", "1"]),
+        ((family, "build_family_instance"), ["family", "sweep", "--height", "2"]),
+    ], ids=["search", "fiber-classify", "family-sweep"])
+    def test_exception_in_command_is_a_fail_report(self, capsys, monkeypatch,
+                                                    target, argv):
+        def broken(*args):
+            raise ArithmeticError("deliberately broken")
+
+        monkeypatch.setattr(*target, broken)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        report = json_lines(out)[-1]
+        assert report["status"] == "fail"
+        assert report["details"] == {"error": "ArithmeticError: deliberately broken"}
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -163,7 +231,12 @@ class TestHarness:
         (["family", "sweep", "--height", "0"], "--height: must be >= 1"),
         (["count", "--curve", "x", "--p", "1009"], "--p: must be <= 1000"),
         (["count", "--curve", "x", "--p", "2147483647"], "--p: must be <= 1000"),
-    ], ids=["search-0", "search-negative", "sweep-0", "count-1009", "count-2^31-1"])
+        (["sporadic", "verify", "--fingerprint-bound", "49"],
+         "--fingerprint-bound: must be >= 50"),
+        (["sporadic", "verify", "--fingerprint-bound", "10001"],
+         "--fingerprint-bound: must be <= 10000"),
+    ], ids=["search-0", "search-negative", "sweep-0", "count-1009", "count-2^31-1",
+            "fingerprint-49", "fingerprint-10001"])
     def test_out_of_range_bound_exits_2_before_any_work(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -4,7 +4,7 @@ import pytest
 
 from torsion13.elliptic import scalar_mul
 from torsion13.family import (A_FUNCTION, B_FUNCTION, DENOMINATOR_QUARTIC,
-                              build_family_instance, jeon_parameter,
+                              build_family_instance,
                               verify_family_instance, verify_w_disc_identity,
                               w_cubic, w_cubic_discriminant_target)
 from torsion13.polynomials import (discriminant_cubic, enumerate_rationals,
@@ -23,8 +23,6 @@ class TestBuildInstance:
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError):
             build_family_instance(0)
-        with pytest.raises(ValueError):
-            jeon_parameter(0)
 
     def test_t_minus_one_disc(self):
         inst = build_family_instance(-1)
@@ -92,23 +90,6 @@ class TestWDiscIdentity:
     def test_quartic_never_vanishes_rationally(self):
         from torsion13.polynomials import rational_roots
         assert rational_roots(DENOMINATOR_QUARTIC) == set()
-
-
-class TestJeonParameter:
-    def test_at_one(self):
-        assert jeon_parameter(1) == Fraction(-1, 8)
-
-    def test_at_minus_one(self):
-        assert jeon_parameter(-1) == Fraction(-5, 72)
-
-    def test_injective_on_samples(self):
-        values = [t for t in enumerate_rationals(6) if t != 0]
-        images = [jeon_parameter(t) for t in values]
-        assert len(set(images)) == len(images)
-
-    def test_never_hits_asymptote(self):
-        for t in (Fraction(1), Fraction(100), Fraction(-1, 50)):
-            assert jeon_parameter(t) != Fraction(-7, 72)
 
 
 class TestRationalFunctions:

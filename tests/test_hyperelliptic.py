@@ -36,11 +36,6 @@ class TestModel:
         with pytest.raises(ValueError):
             HyperellipticModel(f=f, h=qpoly(0, 0, 0, 1))
 
-    def test_json_round_trip(self):
-        data = D2_MIN_MODEL.to_json()
-        again = HyperellipticModel.from_json(data)
-        assert again.f == D2_MIN_MODEL.f and again.h == D2_MIN_MODEL.h
-
 
 class TestInfinityChart:
     def test_x13_has_two_points_at_infinity(self):

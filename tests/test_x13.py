@@ -7,7 +7,7 @@ from torsion13.polynomials import (Polynomial, discriminant_cubic,
                                    rational_roots)
 from torsion13.x13 import (D1_POLY, D2_POLY, FiberKind, FiberMap,
                            X13_MODEL, X13_RATIONAL_POINTS, classify_fiber,
-                           classify_sweep, fiber_cubic, nineteen_divisibility,
+                           fiber_cubic, nineteen_divisibility,
                            symbolic_fiber_coefficients, verify_disc_identity)
 
 
@@ -156,15 +156,15 @@ class TestDiscIdentity:
 
 class TestSweep:
     def test_y_map_cyclic_only_at_sporadic_value_height_12(self):
-        sweep = classify_sweep(FiberMap.Y, 12)
+        sweep = {v: classify_fiber(FiberMap.Y, v) for v in enumerate_rationals(12)}
         cyclic = [v for v, c in sweep.items() if c.kind is FiberKind.CYCLIC_CUBIC]
         assert cyclic == []  # -4/13 has height 13
-        sweep13 = classify_sweep(FiberMap.Y, 13)
+        sweep13 = {v: classify_fiber(FiberMap.Y, v) for v in enumerate_rationals(13)}
         cyclic13 = [v for v, c in sweep13.items() if c.kind is FiberKind.CYCLIC_CUBIC]
         assert cyclic13 == [Fraction(-4, 13)]
 
     def test_t_map_never_cyclic_height_12(self):
-        sweep = classify_sweep(FiberMap.T, 12)
+        sweep = {v: classify_fiber(FiberMap.T, v) for v in enumerate_rationals(12)}
         assert all(c.kind is not FiberKind.CYCLIC_CUBIC for c in sweep.values())
 
     def test_squareness_routes_agree(self):
