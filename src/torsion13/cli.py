@@ -31,8 +31,13 @@ MODELS = {
     "x": x13.X13_MODEL,
 }
 
-# count enumerates O(p^2) pairs; p = 997 takes seconds, larger p is refused
+# upper bounds on requested work, each checked at parse time.  A count is
+# O(p) and takes well under a second at p = 997; the cap bounds the request.
 COUNT_P_CAP = 1000
+# a search tries O(height^2) candidates u; the slowest curve at the cap takes about a minute
+SEARCH_HEIGHT_CAP = 750
+# a sweep builds and verifies O(height^2) parameters; at the cap it takes about a minute
+SWEEP_HEIGHT_CAP = 36
 # the fingerprint tests every prime below the bound; its cost grows faster than the bound
 FINGERPRINT_BOUND_CAP = 10000
 
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fverify.add_argument("--t", type=_fraction, required=True,
                            help='parameter value as "p/q"')
     p_fsweep = family_sub.add_parser("sweep", parents=[common])
-    p_fsweep.add_argument("--height", type=_int_between(1), default=5)
+    p_fsweep.add_argument("--height", type=_int_between(1, SWEEP_HEIGHT_CAP), default=5)
 
     p_fiber = sub.add_parser("fiber", parents=[common], help="fiber classification")
     fiber_sub = p_fiber.add_subparsers(dest="verb", required=True)
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", parents=[common], help="rational point search")
     p_search.add_argument("--curve", choices=sorted(MODELS), required=True)
-    p_search.add_argument("--height", type=_int_between(1), default=100)
+    p_search.add_argument("--height", type=_int_between(1, SEARCH_HEIGHT_CAP), default=100)
 
     p_count = sub.add_parser("count", parents=[common], help="point count mod p")
     p_count.add_argument("--curve", choices=sorted(MODELS), required=True)

@@ -5,9 +5,11 @@ infinity, U = 1/u and V = v/u^(g+1), which turns the equation into
 V^2 + ht(U)V = ft(U) with ht = U^(g+1) h(1/U) and ft = U^(2g+2) f(1/U).
 The U = 0 fiber of that chart carries the points at infinity.
 
-One exhaustive enumerator walks the reduced curve over F_p or F_{p^2}:
-every u on the affine chart, then U = 0 on the infinity chart.  Point
-counts, the set of points mod p and the good-reduction test all read it.
+One enumerator walks the reduced curve over F_p or F_{p^2}: every u on
+the affine chart, then U = 0 on the infinity chart, solving the quadratic
+in v at each u from a table of square (or Artin-Schreier) roots, so a walk
+costs O(q).  Point counts, the set of points mod p and the good-reduction
+test all read it.
 The genus-2 Jacobian order comes from the zeta-function bookkeeping
 N1, N2 -> (s1, s2) -> P(1).
 """
@@ -113,21 +115,43 @@ def _reduced_points(model: HyperellipticModel, field):
 
     f and h are the chart's reduced polynomials.  The affine chart is
     walked for every u; the infinity chart only at U = 0, which is exactly
-    the locus the affine chart misses.
+    the locus the affine chart misses.  At each u the quadratic
+    v^2 + h(u)v = f(u) is solved from one root table built per call, so the
+    walk costs O(q) field operations:
+
+    - odd q: the table maps c to the x with x^2 = c, and the points are
+      v = (x - h(u))/2 for x^2 = h(u)^2 + 4f(u);
+    - even q: the table maps c to the w with w^2 + w = c (Artin-Schreier).
+      If h(u) = 0 the one point is v = sqrt(f(u)) = f(u)^(q/2); otherwise
+      the points are v = h(u)w for w^2 + w = f(u)/h(u)^2.
     """
     fbar, hbar, ftbar, htbar = model.reduce_coefficients(field)
     elements = list(field.elements())
+    q = len(elements)
+    odd = q % 2 == 1
+    roots = {}
+    for x in elements:
+        roots.setdefault(x * x if odd else x * x + x, []).append(x)
+    half = field.one / 2 if odd else None
     for chart, f, h, us in (("affine", fbar, hbar, elements),
                             ("infinity", ftbar, htbar, [field.zero])):
         for u in us:
-            fu, hu = f(u), h(u)
-            for v in elements:
-                if v * v + hu * v == fu:
-                    yield chart, f, h, u, v
+            fu, hu = field(f(u)), field(h(u))
+            if odd:
+                vs = [(x - hu) * half for x in roots.get(hu * hu + 4 * fu, ())]
+            elif hu:
+                vs = [hu * w for w in roots.get(fu / (hu * hu), ())]
+            else:
+                v = fu
+                for _ in range(q.bit_length() - 2):  # q/2 = 2^(k-1): square k-1 times
+                    v = v * v
+                vs = [v]
+            for v in vs:
+                yield chart, f, h, u, v
 
 
 def count_points(model: HyperellipticModel, field) -> int:
-    """Number of points over a finite field, both charts, by exhaustive enumeration."""
+    """Number of points over a finite field, both charts, from the enumerator."""
     return sum(1 for _ in _reduced_points(model, field))
 
 
@@ -137,8 +161,12 @@ def is_smooth_mod_p(model: HyperellipticModel, p: int) -> bool:
     A point of F = v^2 + hv - f is singular when dF/dv = 2v + h(u) and
     dF/du = h'(u)v - f'(u) both vanish there.
     """
-    for _, f, h, u, v in _reduced_points(model, PrimeField(p)):
-        if not (2 * v + h(u)) and h.derivative()(u) * v == f.derivative()(u):
+    partials = {}  # chart -> (h', f'), computed once per chart
+    for chart, f, h, u, v in _reduced_points(model, PrimeField(p)):
+        if chart not in partials:
+            partials[chart] = (h.derivative(), f.derivative())
+        dh, df = partials[chart]
+        if not (2 * v + h(u)) and dh(u) * v == df(u):
             return False
     return True
 

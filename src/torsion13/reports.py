@@ -9,6 +9,7 @@ only field excluded from the byte-for-byte determinism guarantee.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -40,36 +41,43 @@ class VerificationReport:
 class ReportSink:
     """Collects reports, mirrors them as JSON lines, and tracks failure.
 
-    `claims` maps each check id to the claim it checks, in words."""
+    `claims` maps each check id to the claim it checks, in words.  JSON
+    lines go to sys.stdout and the human summary to sys.stderr, looked up
+    at each print."""
 
-    def __init__(self, claims: dict, stream=None, human_stream=None,
-                 json_only: bool = False):
+    def __init__(self, claims: dict, json_only: bool = False):
         self.claims = claims
-        self.stream = stream if stream is not None else sys.stdout
-        self.human_stream = human_stream if human_stream is not None else sys.stderr
         self.json_only = json_only
         self.reports: list[VerificationReport] = []
 
     def emit(self, report: VerificationReport):
         self.reports.append(report)
-        print(report.to_json_line(), file=self.stream)
+        print(report.to_json_line())
         if not self.json_only:
             print(f"[{report.status.upper():8s}] {report.check_id}: {report.claim_ref}",
-                  file=self.human_stream)
+                  file=sys.stderr)
 
     def emit_raw(self, payload: dict):
         """A non-report JSON line, e.g. one object per found search point."""
-        print(json.dumps(payload, sort_keys=True), file=self.stream)
+        print(json.dumps(payload, sort_keys=True))
 
     def run_check(self, check_id: str, fn):
         """Time a check returning (status, details) and emit the report.
 
-        Lines that `fn` emits with `emit_raw` come before its report."""
+        Lines that `fn` emits with `emit_raw` come before its report.  An
+        exception is a failing report whose details give the error and the
+        file:line of the innermost frame it was raised from."""
         start = time.monotonic()
         try:
             status, details = fn()
         except Exception as exc:  # surfaced as a failing report, not a crash
-            status, details = FAIL, {"error": f"{type(exc).__name__}: {exc}"}
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            status, details = FAIL, {
+                "error": f"{type(exc).__name__}: {exc}",
+                "where": f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}",
+            }
         elapsed = int((time.monotonic() - start) * 1000)
         report = VerificationReport(check_id, status, self.claims[check_id],
                                     details, elapsed)

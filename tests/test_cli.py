@@ -218,7 +218,10 @@ class TestHarness:
         assert code == 1
         report = json_lines(out)[-1]
         assert report["status"] == "fail"
-        assert report["details"] == {"error": "ArithmeticError: deliberately broken"}
+        assert report["details"] == {
+            "error": "ArithmeticError: deliberately broken",
+            "where": f"test_cli.py:{broken.__code__.co_firstlineno + 1}",
+        }
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -229,13 +232,18 @@ class TestHarness:
         (["search", "--curve", "d1", "--height", "0"], "--height: must be >= 1"),
         (["search", "--curve", "d1", "--height", "-3"], "--height: must be >= 1"),
         (["family", "sweep", "--height", "0"], "--height: must be >= 1"),
+        (["search", "--curve", "d1", "--height", str(cli.SEARCH_HEIGHT_CAP + 1)],
+         f"--height: must be <= {cli.SEARCH_HEIGHT_CAP}"),
+        (["family", "sweep", "--height", str(cli.SWEEP_HEIGHT_CAP + 1)],
+         f"--height: must be <= {cli.SWEEP_HEIGHT_CAP}"),
         (["count", "--curve", "x", "--p", "1009"], "--p: must be <= 1000"),
         (["count", "--curve", "x", "--p", "2147483647"], "--p: must be <= 1000"),
         (["sporadic", "verify", "--fingerprint-bound", "49"],
          "--fingerprint-bound: must be >= 50"),
         (["sporadic", "verify", "--fingerprint-bound", "10001"],
          "--fingerprint-bound: must be <= 10000"),
-    ], ids=["search-0", "search-negative", "sweep-0", "count-1009", "count-2^31-1",
+    ], ids=["search-0", "search-negative", "sweep-0", "search-cap+1", "sweep-cap+1",
+            "count-1009", "count-2^31-1",
             "fingerprint-49", "fingerprint-10001"])
     def test_out_of_range_bound_exits_2_before_any_work(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -1,16 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from torsion13.fields import BadReductionError, PrimeField, build_quadratic_extension
-from torsion13.hyperelliptic import (HyperellipticModel, ModelPoint,
+from torsion13.hyperelliptic import (HyperellipticModel, ModelPoint, _reduced_points,
                                      count_points, is_smooth_mod_p,
                                      jacobian_order_fp, mod_p_residues,
                                      points_mod_p, search_rational_points)
 from torsion13.polynomials import Polynomial, qpoly
 from torsion13.x13 import D1_MODEL, D2_MIN_MODEL, D2_RAW_MODEL, X13_MODEL
 
-from oracles import count_curve_points, divisor_class_count
+from oracles import count_curve_points, divisor_class_count, primes_upto
 
 
 def int_coeffs(poly):
@@ -238,3 +239,86 @@ class TestResidues:
         pts = [ModelPoint("affine", Fraction(-4, 13), Fraction(57, 2197))]
         with pytest.raises(BadReductionError):
             mod_p_residues(D1_MODEL, pts, 13)
+
+
+def brute_force_points(model, p):
+    """Every (chart, u, v) over F_p by a double loop over integers mod p."""
+    f, h, g = int_coeffs(model.f), int_coeffs(model.h), model.genus
+
+    def value(coeffs, x):
+        return sum(c * x**i for i, c in enumerate(coeffs)) % p
+
+    ft0 = f[2 * g + 2] if len(f) > 2 * g + 2 else 0
+    ht0 = h[g + 1] if len(h) > g + 1 else 0
+    points = {("affine", u, v) for u in range(p) for v in range(p)
+              if (v * v + value(h, u) * v - value(f, u)) % p == 0}
+    points |= {("infinity", 0, v) for v in range(p) if (v * v + ht0 * v - ft0) % p == 0}
+    return points
+
+
+def random_genus2_models(rng, count):
+    """Valid genus-2 Q-models with h != 0 and small integer coefficients."""
+    models = []
+    while len(models) < count:
+        f = qpoly(*(rng.randint(-3, 3) for _ in range(7)))
+        h = qpoly(*(rng.randint(-2, 2) for _ in range(4)))
+        if h.is_zero():
+            continue
+        try:
+            model = HyperellipticModel(f=f, h=h)
+        except ValueError:
+            continue
+        if model.genus == 2:
+            models.append(model)
+    return models
+
+
+class TestRootTableEnumerator:
+    def test_x13_and_d1_over_quadratic_extensions(self):
+        for model in (X13_MODEL, D1_MODEL):
+            for p in (3, 5, 7):
+                oracle = count_curve_points(int_coeffs(model.f), int_coeffs(model.h),
+                                            model.genus, p, squared=True)
+                assert count_points(model, build_quadratic_extension(p)) == oracle
+
+    def test_random_h_nonzero_models_in_characteristic_2(self):
+        # both Artin-Schreier branches: h(u) = 0 (one v) and h(u) != 0 (zero or two)
+        branches = {2: set(), 4: set()}
+        for model in random_genus2_models(random.Random(13), 24):
+            for field, squared in ((PrimeField(2), False), (build_quadratic_extension(2), True)):
+                oracle = count_curve_points(int_coeffs(model.f), int_coeffs(model.h),
+                                            model.genus, 2, squared=squared)
+                assert count_points(model, field) == oracle
+                _, hbar, _, htbar = model.reduce_coefficients(field)
+                values = [hbar(u) for u in field.elements()] + [htbar(field.zero)]
+                branches[field.order()] |= {bool(value) for value in values}
+        assert branches == {2: {False, True}, 4: {False, True}}
+
+    def test_yielded_points_equal_exhaustive_pairs(self):
+        # counts alone cannot see a wrong v in characteristic 2 (v -> h(u)v is a bijection)
+        models = [X13_MODEL, D1_MODEL, D2_MIN_MODEL] + random_genus2_models(random.Random(7), 6)
+        for model in models:
+            for field in (PrimeField(2), build_quadratic_extension(2),
+                          PrimeField(3), build_quadratic_extension(3)):
+                fbar, hbar, ftbar, htbar = model.reduce_coefficients(field)
+                elements = list(field.elements())
+                expected = {("affine", u, v) for u in elements for v in elements
+                            if v * v + hbar(u) * v == fbar(u)}
+                expected |= {("infinity", field.zero, v) for v in elements
+                             if v * v + htbar(field.zero) * v == ftbar(field.zero)}
+                yielded = [(chart, u, v) for chart, _, _, u, v in _reduced_points(model, field)]
+                assert len(yielded) == len(set(yielded))
+                assert set(yielded) == expected
+
+    def test_points_mod_p_equal_brute_force(self):
+        for model in (X13_MODEL, D1_MODEL, D2_MIN_MODEL):
+            for p in (3, 7, 11):
+                assert points_mod_p(model, p) == brute_force_points(model, p)
+
+    def test_x13_count_at_101(self):
+        oracle = count_curve_points(int_coeffs(X13_MODEL.f), int_coeffs(X13_MODEL.h), 2, 101)
+        assert count_points(X13_MODEL, PrimeField(101)) == oracle
+
+    def test_x13_good_reduction_exactly_away_from_13(self):
+        for p in primes_upto(101):
+            assert is_smooth_mod_p(X13_MODEL, p) == (p != 13)
