@@ -8,6 +8,7 @@ one-line human summary on stderr (suppressed by --json-only).  Exit code
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -284,7 +285,9 @@ def _int_between(low: int, high: int | None = None):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="torsion13",
         description="Exact verification of the 13-torsion classification data.")

@@ -9,8 +9,9 @@ the field Q.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .polynomials import Polynomial, discriminant_cubic, frac_str, poly_ext_gcd, rational_roots
+from .polynomials import Polynomial, discriminant_cubic, frac_str, rational_roots
 
 PRIME_CAP = 2**31
 
@@ -349,9 +350,14 @@ def build_quadratic_extension(p: int) -> QuadraticExtensionField:
 
 
 class NumberField:
-    """Cubic field Q(theta) defined by a monic irreducible cubic over Q."""
+    """Cubic field Q(theta) defined by a monic irreducible cubic over Q.
 
-    __slots__ = ("minimal_polynomial", "_theta3", "_theta4")
+    Element arithmetic reads the minimal polynomial x^3 + a2 x^2 + a1 x + a0
+    as integer numerators over one common denominator:
+    theta^3 = -(m0 + m1 theta + m2 theta^2) / D with m_i = a_i D.
+    """
+
+    __slots__ = ("minimal_polynomial", "_m", "_den")
 
     def __init__(self, minimal_polynomial: Polynomial):
         mp = minimal_polynomial.map_coefficients(Fraction)
@@ -362,24 +368,20 @@ class NumberField:
         if rational_roots(mp):
             raise ValueError("minimal polynomial is reducible (rational root)")
         object.__setattr__(self, "minimal_polynomial", mp)
-        a0, a1, a2 = mp.coeffs[0], mp.coeffs[1], mp.coeffs[2]
-        theta3 = (-a0, -a1, -a2)
-        # theta^4 = theta * theta^3
-        theta4 = (theta3[2] * -a0,
-                  theta3[0] + theta3[2] * -a1,
-                  theta3[1] + theta3[2] * -a2)
-        object.__setattr__(self, "_theta3", theta3)
-        object.__setattr__(self, "_theta4", theta4)
+        den = lcm(*(c.denominator for c in mp.coeffs))
+        object.__setattr__(self, "_m", tuple(c.numerator * (den // c.denominator)
+                                             for c in mp.coeffs[:3]))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")
 
     def __call__(self, c0, c1=0, c2=0) -> NumberFieldElement:
         if isinstance(c0, NumberFieldElement):
-            if c0.field.minimal_polynomial != self.minimal_polynomial:
+            if c0.field != self:
                 raise ValueError("element from a different number field")
             return c0
-        return NumberFieldElement(self, Fraction(c0), Fraction(c1), Fraction(c2))
+        return NumberFieldElement(self, c0, c1, c2)
 
     @property
     def zero(self):
@@ -392,18 +394,6 @@ class NumberField:
     def generator(self) -> NumberFieldElement:
         return self(0, 1)
 
-    def from_polynomial(self, poly: Polynomial) -> NumberFieldElement:
-        """Reduce a Q-polynomial in theta to coordinates in the basis {1, theta, theta^2}."""
-        if poly.degree > 4:
-            poly = poly % self.minimal_polynomial
-        c = [Fraction(poly[i]) for i in range(5)]
-        out = [c[0], c[1], c[2]]
-        for k, power in ((3, self._theta3), (4, self._theta4)):
-            if c[k]:
-                for i in range(3):
-                    out[i] += c[k] * power[i]
-        return NumberFieldElement(self, out[0], out[1], out[2])
-
     def __eq__(self, other):
         return (isinstance(other, NumberField)
                 and other.minimal_polynomial == self.minimal_polynomial)
@@ -415,33 +405,65 @@ class NumberField:
         return f"NumberField({self.minimal_polynomial})"
 
 
-class NumberFieldElement:
-    """Element of a cubic field as coordinates (c0, c1, c2) in {1, theta, theta^2}."""
+def _element(field: NumberField, n0: int, n1: int, n2: int, den: int) -> NumberFieldElement:
+    """(n0 + n1 theta + n2 theta^2) / den brought to lowest terms with den > 0."""
+    g = gcd(n0, n1, n2, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        n0, n1, n2, den = n0 // g, n1 // g, n2 // g, den // g
+    e = object.__new__(NumberFieldElement)
+    object.__setattr__(e, "field", field)
+    object.__setattr__(e, "_num", (n0, n1, n2))
+    object.__setattr__(e, "_den", den)
+    return e
 
-    __slots__ = ("field", "coords")
+
+class NumberFieldElement:
+    """Element of a cubic field in the basis {1, theta, theta^2}.
+
+    Stored as integer numerators (n0, n1, n2) over one positive denominator,
+    in lowest terms (Cohen, GTM 138, section 4.2), so equal elements have
+    equal representations; coords gives the coordinates as Fractions.
+    """
+
+    __slots__ = ("field", "_num", "_den")
 
     def __init__(self, field: NumberField, c0, c1, c2):
+        c = (Fraction(c0), Fraction(c1), Fraction(c2))
+        # each Fraction is in lowest terms, so numerators over the lcm are too
+        den = lcm(c[0].denominator, c[1].denominator, c[2].denominator)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", (Fraction(c0), Fraction(c1), Fraction(c2)))
+        object.__setattr__(self, "_num", tuple(ci.numerator * (den // ci.denominator)
+                                               for ci in c))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberFieldElement is immutable")
 
+    @property
+    def coords(self) -> tuple:
+        return tuple(Fraction(n, self._den) for n in self._num)
+
     def _coerce(self, other):
         if isinstance(other, NumberFieldElement):
-            if other.field.minimal_polynomial != self.field.minimal_polynomial:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed number fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return NumberFieldElement(self.field, Fraction(other), 0, 0)
+            return _element(self.field, other.numerator, 0, 0, other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coords, o.coords
-        return NumberFieldElement(self.field, a[0] + b[0], a[1] + b[1], a[2] + b[2])
+        (a0, a1, a2), da = self._num, self._den
+        (b0, b1, b2), db = o._num, o._den
+        if da == db:
+            return _element(self.field, a0 + b0, a1 + b1, a2 + b2, da)
+        return _element(self.field, a0 * db + b0 * da, a1 * db + b1 * da,
+                        a2 * db + b2 * da, da * db)
 
     __radd__ = __add__
 
@@ -449,38 +471,40 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coords, o.coords
-        return NumberFieldElement(self.field, a[0] - b[0], a[1] - b[1], a[2] - b[2])
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + -self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coords, o.coords
-        # convolution to degree 4, then reduce theta^3 and theta^4
-        conv = (a[0] * b[0],
-                a[0] * b[1] + a[1] * b[0],
-                a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-                a[1] * b[2] + a[2] * b[1],
-                a[2] * b[2])
-        out = [conv[0], conv[1], conv[2]]
-        for k, power in ((3, self.field._theta3), (4, self.field._theta4)):
-            if conv[k]:
-                for i in range(3):
-                    out[i] += conv[k] * power[i]
-        return NumberFieldElement(self.field, out[0], out[1], out[2])
+        field = self.field
+        (m0, m1, m2), D = field._m, field._den
+        a0, a1, a2 = self._num
+        b0, b1, b2 = o._num
+        # convolution to degree 4
+        c0 = a0 * b0
+        c1 = a0 * b1 + a1 * b0
+        c2 = a0 * b2 + a1 * b1 + a2 * b0
+        c3 = a1 * b2 + a2 * b1
+        c4 = a2 * b2
+        # D c4 theta^4 = -c4 (m0 theta + m1 theta^2 + m2 theta^3), then the same for theta^3
+        c3 = c3 * D - c4 * m2
+        c2 = c2 * D - c4 * m1
+        c1 = c1 * D - c4 * m0
+        return _element(field, c0 * D * D - c3 * m0, c1 * D - c3 * m1, c2 * D - c3 * m2,
+                        self._den * o._den * D * D)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        a = self.coords
-        return NumberFieldElement(self.field, -a[0], -a[1], -a[2])
+        n0, n1, n2 = self._num
+        return _element(self.field, -n0, -n1, -n2, self._den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -507,29 +531,44 @@ class NumberFieldElement:
         return result
 
     def inverse(self) -> NumberFieldElement:
-        """Inverse by the extended Euclidean algorithm against the minimal polynomial."""
+        """Inverse from the adjugate of the integer multiplication matrix.
+
+        For the numerator n the matrix has columns n, u = D n theta and
+        w = D u theta; its determinant is D^3 N(n), nonzero for n != 0.
+        The inverse's coordinates are d (C0, D C1, D^2 C2) / det, with C_i
+        the cofactors along the first row.
+        """
         if not self:
             raise ZeroDivisionError("inverse of 0 in number field")
-        g, s, _ = poly_ext_gcd(Polynomial(self.coords), self.field.minimal_polynomial)
-        if g.degree != 0:
-            # a nontrivial common factor contradicts irreducibility
+        field = self.field
+        (m0, m1, m2), D = field._m, field._den
+        n0, n1, n2 = self._num
+        u0, u1, u2 = -n2 * m0, n0 * D - n2 * m1, n1 * D - n2 * m2
+        w0, w1, w2 = -u2 * m0, u0 * D - u2 * m1, u1 * D - u2 * m2
+        cof0 = u1 * w2 - w1 * u2
+        cof1 = w1 * n2 - n1 * w2
+        cof2 = n1 * u2 - u1 * n2
+        det = n0 * cof0 + u0 * cof1 + w0 * cof2
+        if det == 0:
+            # a zero norm contradicts irreducibility
             raise ArithmeticError("non-invertible element: reducible modulus")
-        return self.field.from_polynomial(s)
+        d = self._den
+        return _element(field, d * cof0, d * D * cof1, d * D * D * cof2, det)
 
     def is_rational(self) -> bool:
-        return self.coords[1] == 0 and self.coords[2] == 0
+        return self._num[1] == 0 and self._num[2] == 0
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self._num == o._num and self._den == o._den
 
     def __bool__(self):
-        return any(self.coords)
+        return self._num != (0, 0, 0)
 
     def __hash__(self):
-        return hash((self.field.minimal_polynomial, self.coords))
+        return hash((self.field.minimal_polynomial, self._num, self._den))
 
     def __repr__(self):
         c0, c1, c2 = self.coords

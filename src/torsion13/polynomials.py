@@ -345,14 +345,20 @@ def rational_roots(p: Polynomial):
     for c in ints:
         content = gcd(content, abs(c))
     ints = [c // content for c in ints]
-    poly = Polynomial([Fraction(c) for c in ints])
-    for num in _divisors(abs(ints[0])):
-        for den in _divisors(abs(ints[-1])):
+    n = len(ints) - 1
+    nums = _divisors(abs(ints[0]))
+    for den in _divisors(abs(ints[-1])):
+        # a/den is a root iff sum c_i a^i den^(n-i) = 0; Horner in a over these terms
+        terms = [c * den ** (n - i) for i, c in enumerate(ints)][::-1]
+        for num in nums:
             if gcd(num, den) != 1:
                 continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and poly(cand) == 0:
-                    roots.add(cand)
+            for a in (num, -num):
+                acc = 0
+                for term in terms:
+                    acc = acc * a + term
+                if acc == 0:
+                    roots.add(Fraction(a, den))
     return roots
 
 

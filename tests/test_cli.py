@@ -223,6 +223,12 @@ class TestHarness:
             "where": f"test_cli.py:{broken.__code__.co_firstlineno + 1}",
         }
 
+    def test_parser_is_built_once_and_keeps_no_values(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        assert parser.parse_args(["search", "--curve", "d1", "--height", "3"]).height == 3
+        assert parser.parse_args(["search", "--curve", "x"]).height == 100
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

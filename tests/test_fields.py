@@ -7,16 +7,36 @@ from torsion13.fields import (BadReductionError,
                               NumberField, PrimeField,
                               QuadraticExtensionField, build_quadratic_extension,
                               least_nonresidue, splitting_fingerprint)
-from torsion13.polynomials import Polynomial, discriminant_cubic, qpoly
+from torsion13.family import w_cubic
+from torsion13.polynomials import Polynomial, discriminant_cubic, poly_divmod, qpoly
 
 from oracles import primes_upto
 
 K_POLY = qpoly(64, -82, -1, 1)
 
+# w-cubics of the family: monic with non-integral coefficients
+NON_INTEGRAL_T = (Fraction(3, 5), Fraction(-7, 20))
+
 
 @pytest.fixture
 def K():
     return NumberField(K_POLY)
+
+
+@pytest.fixture(params=NON_INTEGRAL_T, ids=str)
+def L(request):
+    return NumberField(w_cubic(request.param))
+
+
+def reduced_product(field, a, b):
+    """a * b as a polynomial product reduced by poly_divmod modulo the minimal polynomial."""
+    _, rem = poly_divmod(Polynomial(a.coords) * Polynomial(b.coords), field.minimal_polynomial)
+    return field(rem[0], rem[1], rem[2])
+
+
+def random_element(field, rng, span=9, max_den=5):
+    return field(*(Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+                   for _ in range(3)))
 
 
 class TestPrimeField:
@@ -134,11 +154,7 @@ class TestNumberField:
         for _ in range(500):
             a = K(*(Fraction(rng.randint(-9, 9)) for _ in range(3)))
             b = K(*(Fraction(rng.randint(-9, 9)) for _ in range(3)))
-            direct = a * b
-            via_poly = K.from_polynomial(
-                Polynomial(a.coords).map_coefficients(Fraction)
-                * Polynomial(b.coords).map_coefficients(Fraction))
-            assert direct == via_poly
+            assert a * b == reduced_product(K, a, b)
 
     def test_field_axioms_sampled(self, K):
         rng = random.Random(31)
@@ -152,6 +168,46 @@ class TestNumberField:
         e = K(Fraction(1, 2), Fraction(-3), Fraction(7, 9))
         data = e.to_json()
         assert data["coordinates"] == ["1/2", "-3/1", "7/9"]
+
+
+class TestNonIntegralNumberField:
+    def test_minimal_polynomial_is_not_integral(self, L):
+        assert any(c.denominator > 1 for c in L.minimal_polynomial.coeffs)
+
+    def test_multiplication_matches_polynomial_reduction(self, L):
+        rng = random.Random(37)
+        for _ in range(300):
+            a, b = random_element(L, rng), random_element(L, rng)
+            assert a * b == reduced_product(L, a, b)
+
+    def test_inverse_round_trip_random(self, L):
+        rng = random.Random(43)
+        for _ in range(200):
+            e = random_element(L, rng)
+            if e:
+                assert e * e.inverse() == L.one
+
+    def test_canonical_form(self, L):
+        assert L(Fraction(2, 4)) == L(Fraction(1, 2))
+        assert hash(L(Fraction(2, 4))) == hash(L(Fraction(1, 2)))
+        w = L.generator()
+        scaled = (w * 6 + 4) * Fraction(1, 6) - Fraction(2, 3)
+        assert scaled == w and hash(scaled) == hash(w)
+        assert (w * w.inverse()).coords == (1, 0, 0)
+
+    def test_inverse_of_zero(self, L):
+        with pytest.raises(ZeroDivisionError):
+            L.zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            L.one / (L.generator() - L.generator())
+
+    def test_mixing_fields_rejected(self, L, K):
+        with pytest.raises(ValueError):
+            L.generator() + K.generator()
+        with pytest.raises(ValueError):
+            L.generator() * K.generator()
+        with pytest.raises(ValueError):
+            K(L.generator())
 
 
 class TestSplittingFingerprint:

@@ -213,6 +213,23 @@ class TestRationalRoots:
         p = qpoly(-1, 0, 0, 2) * qpoly(3, 5)  # roots: cbrt stuff except 1/? -> (2x^3-1)(5x+3)
         assert Fraction(-3, 5) in rational_roots(p)
 
+    def test_random_products_of_linear_factors(self):
+        rng = random.Random(53)
+        quadratic = qpoly(-5, 0, 3)  # 3x^2 - 5: irreducible over Q
+        for trial in range(200):
+            p, roots = quadratic, set()
+            for _ in range(rng.randint(1, 4)):
+                a, b = rng.randint(-12, 12), rng.randint(1, 9)
+                p = p * qpoly(-a, b)  # b x - a
+                roots.add(Fraction(a, b))
+            if trial % 2:
+                p = p * qpoly(0, 0, 1)  # the root 0 with multiplicity 2
+                roots.add(Fraction(0))
+            content = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+            if trial % 3:
+                content = -content  # a negative leading coefficient
+            assert rational_roots(p * content) == roots
+
 
 class TestEnumerateRationals:
     def test_height_one(self):
