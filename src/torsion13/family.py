@@ -76,9 +76,9 @@ def verify_w_disc_identity() -> bool:
 class FamilyInstance:
     """One member of the family at a rational parameter value.
 
-    status is "cyclic" when the w-cubic is irreducible (the generic case);
-    "split" records the degenerate situation where it factors over Q, with
-    the torsion-point formulas evaluated componentwise at each root.
+    status is "cyclic" when the w-cubic is irreducible (the generic case),
+    with the torsion point over Q(w); "split" records the degenerate
+    situation where it factors over Q, and then field and point are None.
     """
 
     t: Fraction
@@ -90,11 +90,10 @@ class FamilyInstance:
     status: str
     field: NumberField | None
     point: CurvePoint | None
-    split_points: tuple
 
 
 def _point_coordinates(t: Fraction, w):
-    """Coordinates of the torsion point with w either a field generator or a Fraction."""
+    """Coordinates of the torsion point at t, with w the generator of Q(w)."""
     den = DENOMINATOR_QUARTIC(t)
     x = (36 * t * w + 3 * X_NUMERATOR_CONSTANT(t)) / den
     y = (108 * t * ((t - 1) * w + t)) / den
@@ -114,21 +113,13 @@ def build_family_instance(t) -> FamilyInstance:
                              54 * (t * t + 1) * b_value)
     cubic = w_cubic(t)
     disc_w = Fraction(discriminant_cubic(Fraction(1), cubic[2], cubic[1], cubic[0]))
-    roots = rational_roots(cubic)
-    if not roots:
+    if not rational_roots(cubic):
         field = NumberField(cubic)
-        w = field.generator()
-        x, y = _point_coordinates(t, w)
-        point = CurvePoint(x, y)
+        x, y = _point_coordinates(t, field.generator())
         return FamilyInstance(t, a_value, b_value, curve, cubic, disc_w,
-                              "cyclic", field, point, ())
-    # square nonzero discriminant: a rational root forces a full split
-    split = []
-    for root in sorted(roots):
-        x, y = _point_coordinates(t, root)
-        split.append(CurvePoint(x, y))
+                              "cyclic", field, CurvePoint(x, y))
     return FamilyInstance(t, a_value, b_value, curve, cubic, disc_w,
-                          "split", None, None, tuple(split))
+                          "split", None, None)
 
 
 @dataclass(frozen=True)
@@ -155,7 +146,7 @@ class FamilyVerification:
         }
 
 
-def verify_family_instance(instance: FamilyInstance, bound: int = 20) -> FamilyVerification:
+def verify_family_instance(instance: FamilyInstance) -> FamilyVerification:
     """Assert the defining properties of a cyclic instance.
 
     Checks, in order: the point satisfies the curve equation over Q(w);
@@ -172,7 +163,7 @@ def verify_family_instance(instance: FamilyInstance, bound: int = 20) -> FamilyV
         failures.append("point does not satisfy the curve equation")
     order = None
     if on_curve:
-        order = point_order(instance.curve, instance.point, bound)
+        order = point_order(instance.curve, instance.point, bound=20)
         if order != 13:
             failures.append(f"order {order} != 13")
     square, _ = rat_is_square(instance.disc_w)

@@ -1,9 +1,14 @@
 """Prime fields F_p, quadratic extensions F_{p^2}, and cubic number fields.
 
-All three element kinds share one informal interface: arithmetic operators
-with int/Fraction coercion, truthiness (zero is falsy), and inverse().
-Curve and model code is generic over it, with Fraction itself serving as
-the field Q.
+Each element kind subclasses FieldElement and defines only what depends on
+its representation: _coerce (an int, a Fraction or an element of the same
+field as an element of that field, or None for any other type), +, *,
+unary -, inverse(), ==, bool (zero is falsy), hash and repr.  FieldElement
+derives -, / (with an int or a Fraction on either side), ** (square and
+multiply; a negative exponent inverts first) and immutability from them.
+Each field kind subclasses Field, which derives zero, one and immutability
+from its __call__.  Curve and model code is generic over the elements,
+with Fraction itself serving as the field Q.
 """
 
 from __future__ import annotations
@@ -30,7 +35,69 @@ def _check_prime(p: int):
         d += 1 if d == 2 else 2
 
 
-class PrimeField:
+class Field:
+    """An immutable field whose __call__ maps int 0 and 1 to its zero and one."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def zero(self):
+        return self(0)
+
+    @property
+    def one(self):
+        return self(1)
+
+
+class FieldElement:
+    """An immutable element of self.field, built on _coerce, +, *, unary - and inverse()."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + -o
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + -self
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** -n
+        result = self.field.one
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+class PrimeField(Field):
     """The field F_p for a prime p, checked by trial division."""
 
     __slots__ = ("p",)
@@ -38,9 +105,6 @@ class PrimeField:
     def __init__(self, p: int):
         _check_prime(p)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeField is immutable")
 
     def __call__(self, value) -> PrimeFieldElement:
         if isinstance(value, PrimeFieldElement):
@@ -54,14 +118,6 @@ class PrimeField:
             den = value.denominator % self.p
             return PrimeFieldElement(self, num * pow(den, -1, self.p) % self.p)
         return PrimeFieldElement(self, value % self.p)
-
-    @property
-    def zero(self):
-        return PrimeFieldElement(self, 0)
-
-    @property
-    def one(self):
-        return PrimeFieldElement(self, 1)
 
     def elements(self):
         for v in range(self.p):
@@ -80,15 +136,12 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class PrimeFieldElement:
+class PrimeFieldElement(FieldElement):
     __slots__ = ("field", "value")
 
     def __init__(self, field: PrimeField, value: int):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeFieldElement is immutable")
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -107,18 +160,6 @@ class PrimeFieldElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.field, (self.value - o.value) % self.field.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.field, (o.value - self.value) % self.field.p)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -129,21 +170,6 @@ class PrimeFieldElement:
 
     def __neg__(self):
         return PrimeFieldElement(self.field, -self.value % self.field.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        return PrimeFieldElement(self.field, pow(self.value, n, self.field.p))
 
     def inverse(self) -> PrimeFieldElement:
         if self.value == 0:
@@ -179,7 +205,7 @@ def least_nonresidue(p: int) -> int:
     return n
 
 
-class QuadraticExtensionField:
+class QuadraticExtensionField(Field):
     """F_{p^2} = F_p(xi) with xi a root of a monic irreducible quadratic.
 
     Elements are coordinate pairs with respect to the basis {1, xi}.
@@ -197,9 +223,6 @@ class QuadraticExtensionField:
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticExtensionField is immutable")
-
     @property
     def p(self):
         return self.base.p
@@ -214,14 +237,6 @@ class QuadraticExtensionField:
         if isinstance(value, Fraction):
             return ExtensionFieldElement(self, self.base(value).value, 0)
         return ExtensionFieldElement(self, value % self.p, 0)
-
-    @property
-    def zero(self):
-        return ExtensionFieldElement(self, 0, 0)
-
-    @property
-    def one(self):
-        return ExtensionFieldElement(self, 1, 0)
 
     def generator(self):
         return ExtensionFieldElement(self, 0, 1)
@@ -245,16 +260,13 @@ class QuadraticExtensionField:
         return f"F_{self.p}^2 [xi^2 + {self.a1}*xi + {self.a0} = 0]"
 
 
-class ExtensionFieldElement:
+class ExtensionFieldElement(FieldElement):
     __slots__ = ("field", "c0", "c1")
 
     def __init__(self, field: QuadraticExtensionField, c0: int, c1: int):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "c0", c0 % field.p)
         object.__setattr__(self, "c1", c1 % field.p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtensionFieldElement is immutable")
 
     def _coerce(self, other):
         if isinstance(other, ExtensionFieldElement):
@@ -274,18 +286,6 @@ class ExtensionFieldElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExtensionFieldElement(self.field, self.c0 - o.c0, self.c1 - o.c1)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExtensionFieldElement(self.field, o.c0 - self.c0, o.c1 - self.c1)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -302,18 +302,6 @@ class ExtensionFieldElement:
     def __neg__(self):
         return ExtensionFieldElement(self.field, -self.c0, -self.c1)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def inverse(self) -> ExtensionFieldElement:
         """Inverse via the norm to F_p: e * conj(e) = c0^2 - a1 c0 c1 + a0 c1^2."""
         if not self:
@@ -326,7 +314,10 @@ class ExtensionFieldElement:
                                      -self.c1 * ninv)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except BadReductionError:
+            return False
         if o is None:
             return NotImplemented
         return (self.c0, self.c1) == (o.c0, o.c1) and self.field.p == o.field.p
@@ -349,7 +340,7 @@ def build_quadratic_extension(p: int) -> QuadraticExtensionField:
     return QuadraticExtensionField(base, (-least_nonresidue(p), 0))
 
 
-class NumberField:
+class NumberField(Field):
     """Cubic field Q(theta) defined by a monic irreducible cubic over Q.
 
     Element arithmetic reads the minimal polynomial x^3 + a2 x^2 + a1 x + a0
@@ -373,23 +364,12 @@ class NumberField:
                                              for c in mp.coeffs[:3]))
         object.__setattr__(self, "_den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NumberField is immutable")
-
     def __call__(self, c0, c1=0, c2=0) -> NumberFieldElement:
         if isinstance(c0, NumberFieldElement):
             if c0.field != self:
                 raise ValueError("element from a different number field")
             return c0
         return NumberFieldElement(self, c0, c1, c2)
-
-    @property
-    def zero(self):
-        return self(0)
-
-    @property
-    def one(self):
-        return self(1)
 
     def generator(self) -> NumberFieldElement:
         return self(0, 1)
@@ -419,7 +399,7 @@ def _element(field: NumberField, n0: int, n1: int, n2: int, den: int) -> NumberF
     return e
 
 
-class NumberFieldElement:
+class NumberFieldElement(FieldElement):
     """Element of a cubic field in the basis {1, theta, theta^2}.
 
     Stored as integer numerators (n0, n1, n2) over one positive denominator,
@@ -437,9 +417,6 @@ class NumberFieldElement:
         object.__setattr__(self, "_num", tuple(ci.numerator * (den // ci.denominator)
                                                for ci in c))
         object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumberFieldElement is immutable")
 
     @property
     def coords(self) -> tuple:
@@ -467,18 +444,6 @@ class NumberFieldElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + -o
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + -self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -505,30 +470,6 @@ class NumberFieldElement:
     def __neg__(self):
         n0, n1, n2 = self._num
         return _element(self.field, -n0, -n1, -n2, self._den)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def inverse(self) -> NumberFieldElement:
         """Inverse from the adjugate of the integer multiplication matrix.

@@ -142,10 +142,7 @@ def _reduced_points(model: HyperellipticModel, field):
             elif hu:
                 vs = [hu * w for w in roots.get(fu / (hu * hu), ())]
             else:
-                v = fu
-                for _ in range(q.bit_length() - 2):  # q/2 = 2^(k-1): square k-1 times
-                    v = v * v
-                vs = [v]
+                vs = [fu ** (q // 2)]
             for v in vs:
                 yield chart, f, h, u, v
 

@@ -131,15 +131,6 @@ class Polynomial:
             result = result * x + c
         return result
 
-    def __divmod__(self, other):
-        return poly_divmod(self, other)
-
-    def __floordiv__(self, other):
-        return poly_divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return poly_divmod(self, other)[1]
-
     def derivative(self) -> Polynomial:
         return Polynomial([i * self.coeffs[i] for i in range(1, len(self.coeffs))])
 
@@ -199,11 +190,6 @@ def qpoly(*coeffs) -> Polynomial:
     Fraction(7, 1)
     """
     return Polynomial([Fraction(c) for c in coeffs])
-
-
-X = qpoly(0, 1)
-ONE = qpoly(1)
-ZERO = Polynomial()
 
 
 def poly_divmod(a: Polynomial, b: Polynomial):
@@ -422,10 +408,6 @@ class RationalFunction:
 
     def __hash__(self):
         return hash((self.numerator, self.denominator))
-
-    def __mul__(self, other):
-        return RationalFunction(self.numerator * other.numerator,
-                                self.denominator * other.denominator)
 
     def __repr__(self):
         return f"({self.numerator}) / ({self.denominator})"

@@ -66,8 +66,7 @@ class TestVerifyInstance:
     def test_split_instance_reported_not_verified(self):
         import dataclasses
         inst = build_family_instance(Fraction(1))
-        split = dataclasses.replace(inst, status="split", field=None,
-                                    point=None, split_points=())
+        split = dataclasses.replace(inst, status="split", field=None, point=None)
         outcome = verify_family_instance(split)
         assert not outcome.passed
         assert any("splits" in f for f in outcome.failures)

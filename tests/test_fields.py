@@ -39,6 +39,42 @@ def random_element(field, rng, span=9, max_den=5):
                    for _ in range(3)))
 
 
+def protocol_cases():
+    """(field, a, b, p) for each field kind; b is nonzero, p is None over Q."""
+    f7, f49, f4 = PrimeField(7), build_quadratic_extension(7), build_quadratic_extension(2)
+    k, w_field = NumberField(K_POLY), NumberField(w_cubic(Fraction(3, 5)))
+    xi, eta = f49.generator(), f4.generator()
+    return [
+        pytest.param(f7, f7(3), f7(5), 7, id="F_7"),
+        pytest.param(f49, 2 * xi + 3, 4 * xi + 1, 7, id="F_7^2"),
+        pytest.param(f4, eta, eta + 1, 2, id="F_2^2"),
+        pytest.param(k, k(1, 2, -1), k(Fraction(1, 3), 0, 5), None, id="Q(alpha)"),
+        pytest.param(w_field, w_field(Fraction(-2, 7), 1, Fraction(1, 2)),
+                     w_field(3, Fraction(-5, 4), 1), None, id="Q(w) t=3/5"),
+    ]
+
+
+@pytest.mark.parametrize("field, a, b, p", protocol_cases())
+def test_field_element_protocol(field, a, b, p):
+    assert a - b == a + (-b)
+    for left in (3, Fraction(2, 3)):
+        assert left - a == field(left) + (-a)
+        assert left / a == field(left) * a.inverse()
+    assert 1 / a == a.inverse() and a * (1 / a) == field.one
+    assert a / b * b == a
+    assert a ** 0 == field.one and a ** 1 == a and a ** 5 == a * a * a * a * a
+    assert b ** -2 * b ** 2 == 1
+    with pytest.raises(ZeroDivisionError):
+        field.zero ** -1
+    with pytest.raises(AttributeError):
+        a.field = field
+    with pytest.raises(AttributeError):
+        setattr(field, type(field).__slots__[0], None)
+    if p is not None:
+        assert (field(1) == Fraction(1, p)) is False
+        assert (Fraction(1, p) == field.one) is False
+
+
 class TestPrimeField:
     def test_non_prime_rejected(self):
         for bad in (1, 4, 9, 2**31 + 11):
