@@ -9,7 +9,7 @@ coordinates are exposed.
 
 from __future__ import annotations
 
-from .polynomials import frac_str
+from dataclasses import dataclass
 
 
 class SingularCurveError(ValueError):
@@ -20,58 +20,19 @@ class OrderBoundExceededError(ValueError):
     """A point's order exceeds the bound handed to point_order."""
 
 
+@dataclass(frozen=True, slots=True)
 class CurvePoint:
-    """Affine point (x, y) or the point at infinity."""
+    """Affine point (x, y), or the point at infinity when both are None."""
 
-    __slots__ = ("x", "y", "is_infinity")
+    x: object
+    y: object
 
-    def __init__(self, x, y):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "is_infinity", False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurvePoint is immutable")
-
-    @classmethod
-    def infinity(cls) -> CurvePoint:
-        pt = cls.__new__(cls)
-        object.__setattr__(pt, "x", None)
-        object.__setattr__(pt, "y", None)
-        object.__setattr__(pt, "is_infinity", True)
-        return pt
-
-    def __eq__(self, other):
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        if self.is_infinity:
-            return hash("inf")
-        return hash((self.x, self.y))
-
-    def __repr__(self):
-        if self.is_infinity:
-            return "Point(inf)"
-        return f"Point({self.x}, {self.y})"
-
-    def to_json(self):
-        if self.is_infinity:
-            return "inf"
-        return [_field_json(self.x), _field_json(self.y)]
+    @property
+    def is_infinity(self) -> bool:
+        return self.x is None
 
 
-INFINITY = CurvePoint.infinity()
-
-
-def _field_json(v):
-    f = getattr(v, "to_json", None)
-    if f is not None:
-        return f()
-    return frac_str(v)
+INFINITY = CurvePoint(None, None)
 
 
 class WeierstrassCurve:
@@ -105,9 +66,6 @@ class WeierstrassCurve:
     def coefficients(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    def invariants(self):
-        return (self.b2, self.b4, self.b6, self.b8, self.c4, self.c6, self.disc, self.j)
-
     def is_on_curve(self, point: CurvePoint) -> bool:
         if point.is_infinity:
             return True
@@ -128,9 +86,6 @@ class WeierstrassCurve:
         return (f"WeierstrassCurve(a1={self.a1}, a2={self.a2}, a3={self.a3}, "
                 f"a4={self.a4}, a6={self.a6})")
 
-    def to_json(self):
-        return [_field_json(a) for a in self.coefficients()]
-
 
 def negate_point(curve: WeierstrassCurve, point: CurvePoint) -> CurvePoint:
     if point.is_infinity:
@@ -139,9 +94,11 @@ def negate_point(curve: WeierstrassCurve, point: CurvePoint) -> CurvePoint:
 
 
 def add_points(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    """Chord-tangent addition, valid in every characteristic."""
-    if not curve.is_on_curve(p) or not curve.is_on_curve(q):
-        raise ValueError("point not on curve")
+    """Chord-tangent addition, valid in every characteristic.
+
+    Both points must lie on the curve.  Points enter the group law through
+    scalar_mul and point_order, which check this once.
+    """
     if p.is_infinity:
         return q
     if q.is_infinity:
@@ -164,9 +121,11 @@ def add_points(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePo
 
 
 def scalar_mul(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint:
-    """n*P by double-and-add; 0*P is infinity and (-n)*P = -(n*P)."""
+    """n*P by double-and-add; 0*P is infinity and (-n)*P = n*(-P)."""
+    if not curve.is_on_curve(point):
+        raise ValueError("point not on curve")
     if n < 0:
-        return negate_point(curve, scalar_mul(curve, -n, point))
+        n, point = -n, negate_point(curve, point)
     result = INFINITY
     addend = point
     while n:
@@ -192,12 +151,9 @@ def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int) -> int:
 
 
 def tate_curve(b, c) -> WeierstrassCurve:
-    """Tate normal form y^2 + (1-c)xy - by = x^3 - bx^2; (0,0) lies on it by construction."""
+    """Tate normal form y^2 + (1-c)xy - by = x^3 - bx^2; (0,0) lies on it since a4 = a6 = 0."""
     zero = b - b
-    curve = WeierstrassCurve(1 - c, -b, -b, zero, zero)
-    origin = CurvePoint(zero, zero)
-    assert curve.is_on_curve(origin)
-    return curve
+    return WeierstrassCurve(1 - c, -b, -b, zero, zero)
 
 
 def tate_origin(curve: WeierstrassCurve) -> CurvePoint:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .elliptic import CurvePoint, WeierstrassCurve, point_order
 from .fields import NumberField
 from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,
-                          frac_str, qpoly, rat_is_square, rational_roots)
+                          frac_str, qpoly, rat_is_square)
 
 DENOMINATOR_QUARTIC = qpoly(1, 1, 5, -1, 1)
 
@@ -66,9 +66,7 @@ def w_cubic_discriminant_target() -> Polynomial:
 
 def verify_w_disc_identity() -> bool:
     """Exact polynomial identity: disc of the w-cubic equals its stated target."""
-    d, c, b, a = W_CUBIC_COEFF_POLYS[0], W_CUBIC_COEFF_POLYS[1], \
-        W_CUBIC_COEFF_POLYS[2], W_CUBIC_COEFF_POLYS[3]
-    disc = discriminant_cubic(a, b, c, d)
+    disc = discriminant_cubic(*reversed(W_CUBIC_COEFF_POLYS))
     return disc == w_cubic_discriminant_target()
 
 
@@ -112,14 +110,16 @@ def build_family_instance(t) -> FamilyInstance:
                              -27 * a_value,
                              54 * (t * t + 1) * b_value)
     cubic = w_cubic(t)
-    disc_w = Fraction(discriminant_cubic(Fraction(1), cubic[2], cubic[1], cubic[0]))
-    if not rational_roots(cubic):
+    disc_w = Fraction(discriminant_cubic(*reversed(cubic.coeffs)))
+    try:
         field = NumberField(cubic)
-        x, y = _point_coordinates(t, field.generator())
+    except ValueError:
+        # the cubic is monic, so it is refused only for having a rational root
         return FamilyInstance(t, a_value, b_value, curve, cubic, disc_w,
-                              "cyclic", field, CurvePoint(x, y))
+                              "split", None, None)
+    x, y = _point_coordinates(t, field.generator())
     return FamilyInstance(t, a_value, b_value, curve, cubic, disc_w,
-                          "split", None, None)
+                          "cyclic", field, CurvePoint(x, y))
 
 
 @dataclass(frozen=True)

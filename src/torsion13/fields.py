@@ -2,13 +2,14 @@
 
 Each element kind subclasses FieldElement and defines only what depends on
 its representation: _coerce (an int, a Fraction or an element of the same
-field as an element of that field, or None for any other type), +, *,
-unary -, inverse(), ==, bool (zero is falsy), hash and repr.  FieldElement
-derives -, / (with an int or a Fraction on either side), ** (square and
-multiply; a negative exponent inverts first) and immutability from them.
-Each field kind subclasses Field, which derives zero, one and immutability
-from its __call__.  Curve and model code is generic over the elements,
-with Fraction itself serving as the field Q.
+field as an element of that field, ValueError for an element of another
+field of the same kind, or None for any other type), +, *, unary -,
+inverse(), == (False across fields), bool (zero is falsy), hash and repr.
+FieldElement derives -, / (with an int or a Fraction on either side), **
+(square and multiply; a negative exponent inverts first) and immutability
+from them.  Each field kind subclasses Field, which derives zero, one and
+immutability from its __call__.  Curve and model code is generic over the
+elements, with Fraction itself serving as the field Q.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polynomials import Polynomial, discriminant_cubic, frac_str, rational_roots
+from .polynomials import Polynomial, discriminant_cubic, rational_roots
 
 PRIME_CAP = 2**31
 
@@ -177,14 +178,13 @@ class PrimeFieldElement(FieldElement):
         return PrimeFieldElement(self.field, pow(self.value, -1, self.field.p))
 
     def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.field.p == other.field.p and self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            try:
-                return self == self.field(other)
-            except BadReductionError:
-                return False
-        return NotImplemented
+        try:
+            o = self._coerce(other)
+        except ValueError:
+            return False
+        if o is None:
+            return NotImplemented
+        return self.value == o.value
 
     def __bool__(self):
         return self.value != 0
@@ -232,9 +232,7 @@ class QuadraticExtensionField(Field):
             if (value.field.p, value.field.a0, value.field.a1) != (self.p, self.a0, self.a1):
                 raise ValueError("element from a different extension")
             return value
-        if isinstance(value, PrimeFieldElement):
-            return ExtensionFieldElement(self, value.value, 0)
-        if isinstance(value, Fraction):
+        if isinstance(value, (PrimeFieldElement, Fraction)):
             return ExtensionFieldElement(self, self.base(value).value, 0)
         return ExtensionFieldElement(self, value % self.p, 0)
 
@@ -316,11 +314,11 @@ class ExtensionFieldElement(FieldElement):
     def __eq__(self, other):
         try:
             o = self._coerce(other)
-        except BadReductionError:
+        except ValueError:
             return False
         if o is None:
             return NotImplemented
-        return (self.c0, self.c1) == (o.c0, o.c1) and self.field.p == o.field.p
+        return (self.c0, self.c1) == (o.c0, o.c1)
 
     def __bool__(self):
         return self.c0 != 0 or self.c1 != 0
@@ -500,7 +498,10 @@ class NumberFieldElement(FieldElement):
         return self._num[1] == 0 and self._num[2] == 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except ValueError:
+            return False
         if o is None:
             return NotImplemented
         return self._num == o._num and self._den == o._den
@@ -514,13 +515,6 @@ class NumberFieldElement(FieldElement):
     def __repr__(self):
         c0, c1, c2 = self.coords
         return f"({c0} + {c1}*theta + {c2}*theta^2)"
-
-    def to_json(self):
-        """JSON form: coordinate triple of rational strings plus the minimal polynomial."""
-        return {
-            "coordinates": [frac_str(c) for c in self.coords],
-            "minimal_polynomial": self.field.minimal_polynomial.to_json(),
-        }
 
 
 def splitting_fingerprint(f: Polynomial, bound: int):
@@ -536,8 +530,7 @@ def splitting_fingerprint(f: Polynomial, bound: int):
         raise ValueError("fingerprint needs an irreducible cubic")
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    d, c, b, a = f.coeffs[0], f.coeffs[1], f.coeffs[2], f.coeffs[3]
-    disc = discriminant_cubic(a, b, c, d)
+    disc = discriminant_cubic(*reversed(f.coeffs))
     skip = abs(disc.numerator) * disc.denominator
     for coeff in f.coeffs:
         skip *= coeff.denominator

@@ -76,7 +76,7 @@ def verify_sporadic():
         "minimal_polynomial_irreducible", not roots,
         f"rational roots: {sorted(roots) if roots else 'none'}"))
 
-    disc = discriminant_cubic(Fraction(1), Fraction(-1), Fraction(-82), Fraction(64))
+    disc = discriminant_cubic(*reversed(SPORADIC_MIN_POLY.coeffs))
     disc_ok = disc == 2196324 == 1482**2
     index_sq, index_root = rat_is_square(Fraction(disc, 247**2))
     results.append(AssertionResult(
@@ -164,12 +164,8 @@ def fiber_field_evidence(bound: int = 1000) -> FingerprintReport:
     fiber = sporadic_fiber_cubic()
     if rational_roots(fiber):
         raise ArithmeticError("fiber cubic above -4/13 is unexpectedly reducible")
-
-    def cubic_disc(p: Polynomial) -> Fraction:
-        return Fraction(discriminant_cubic(p[3], p[2], p[1], p[0]))
-
-    fiber_sq, _ = rat_is_square(cubic_disc(fiber))
-    field_sq, _ = rat_is_square(cubic_disc(SPORADIC_MIN_POLY))
+    fiber_sq, _ = rat_is_square(discriminant_cubic(*reversed(fiber.coeffs)))
+    field_sq, _ = rat_is_square(discriminant_cubic(*reversed(SPORADIC_MIN_POLY.coeffs)))
 
     fp_fiber = splitting_fingerprint(fiber, bound)
     fp_field = splitting_fingerprint(SPORADIC_MIN_POLY, bound)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .hyperelliptic import HyperellipticModel, ModelPoint, jacobian_order_fp
 from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,
@@ -95,11 +95,7 @@ class FiberClassification:
 
 def _clear_denominators(p: Polynomial) -> Polynomial:
     """Scale by the positive lcm of coefficient denominators."""
-    lcm = 1
-    for c in p.coeffs:
-        c = Fraction(c)
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return p * Fraction(lcm)
+    return p * Fraction(lcm(*(Fraction(c).denominator for c in p.coeffs)))
 
 
 def fiber_cubic(fiber_map: FiberMap, value) -> Polynomial:
@@ -109,11 +105,8 @@ def fiber_cubic(fiber_map: FiberMap, value) -> Polynomial:
     the substitution y = x*t - 1 with the base-point factor x removed.
     """
     value = Fraction(value)
-    if fiber_map is FiberMap.Y:
-        coeffs = [value * value + value, Fraction(-1), value - 1, value]
-    else:
-        coeffs = [-(value + 1), value * value - 2, value - 1, value]
-    return _clear_denominators(Polynomial(coeffs))
+    coeffs = symbolic_fiber_coefficients(fiber_map)
+    return _clear_denominators(Polynomial(c(value) for c in coeffs))
 
 
 def symbolic_fiber_coefficients(fiber_map: FiberMap):
@@ -134,8 +127,7 @@ def classify_fiber(fiber_map: FiberMap, value) -> FiberClassification:
     value = Fraction(value)
     cubic = fiber_cubic(fiber_map, value)
     if cubic.degree == 3:
-        d, c, b, a = (Fraction(cubic[i]) for i in range(4))
-        disc = Fraction(discriminant_cubic(a, b, c, d))
+        disc = Fraction(discriminant_cubic(*reversed(cubic.coeffs)))
         roots = tuple(sorted(rational_roots(cubic)))
         square, _ = rat_is_square(disc)
         if disc == 0:
@@ -197,8 +189,7 @@ def verify_disc_identity(fiber_map: FiberMap) -> DiscIdentityReport:
     coefficients in Q[parameter]; the quotient by the stored d1 or d2 must
     be the square of a rational function, and is recorded exactly.
     """
-    a0, a1, a2, a3 = symbolic_fiber_coefficients(fiber_map)
-    disc = discriminant_cubic(a3, a2, a1, a0)
+    disc = discriminant_cubic(*reversed(symbolic_fiber_coefficients(fiber_map)))
     stored = D1_POLY if fiber_map is FiberMap.Y else D2_POLY
     quotient = RationalFunction(disc, stored)
     sqrt_num = poly_sqrt(quotient.numerator)

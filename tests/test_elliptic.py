@@ -61,7 +61,8 @@ class TestInvariants:
 
     def test_formulary_identities(self):
         for c in (qcurve(a6=1), qcurve(a4=1), qcurve(1, 2, 3, 4, 5)):
-            b2, b4, b6, b8, c4, c6, disc, j = c.invariants()
+            b2, b4, b6, b8, c4, c6, disc, j = (c.b2, c.b4, c.b6, c.b8,
+                                               c.c4, c.c6, c.disc, c.j)
             assert 4 * b8 == b2 * b6 - b4 * b4
             assert 1728 * disc == c4**3 - c6**2
             assert j * disc == c4**3
@@ -78,10 +79,6 @@ class TestInvariants:
         assert bool(disc)
         assert not curve.j.is_rational()
 
-    def test_curve_invariants_function(self):
-        out = qcurve(a4=1).invariants()
-        assert out[6] == -64
-
 
 class TestGroupLaw:
     def test_identity_and_inverse(self):
@@ -92,8 +89,12 @@ class TestGroupLaw:
 
     def test_point_not_on_curve_rejected(self):
         c = qcurve(a4=-1)
+        off = CurvePoint(Fraction(5), Fraction(5))
         with pytest.raises(ValueError):
-            add_points(c, CurvePoint(Fraction(5), Fraction(5)), INFINITY)
+            point_order(c, off, 5)
+        for n in (0, 1, -3):
+            with pytest.raises(ValueError):
+                scalar_mul(c, n, off)
 
     def test_doubling_two_independent_paths_on_sporadic_curve(self):
         field, curve, origin = sporadic_curve()
@@ -219,10 +220,3 @@ class TestTateForm:
             assert curve.is_on_curve(tate_origin(curve))
             assert (curve.a1, curve.a2, curve.a3) == (1 - c, -b, -b)
 
-
-class TestSerialization:
-    def test_curve_and_point_json(self):
-        c = qcurve(a4=-1)
-        assert c.to_json() == ["0/1", "0/1", "0/1", "-1/1", "0/1"]
-        assert CurvePoint(Fraction(1, 2), Fraction(-3)).to_json() == ["1/2", "-3/1"]
-        assert INFINITY.to_json() == "inf"

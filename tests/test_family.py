@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from torsion13.elliptic import scalar_mul
+from torsion13 import family, fields
+from torsion13.elliptic import WeierstrassCurve, scalar_mul
 from torsion13.family import (A_FUNCTION, B_FUNCTION, DENOMINATOR_QUARTIC,
                               build_family_instance,
                               verify_family_instance, verify_w_disc_identity,
@@ -19,6 +20,11 @@ class TestBuildInstance:
         assert inst.w_minimal == qpoly(1, -1, -2, 1)  # w^3 - 2w^2 - w + 1
         assert inst.disc_w == 49
         assert inst.status == "cyclic"
+
+    def test_reducible_w_cubic_is_split(self, monkeypatch):
+        monkeypatch.setattr(family, "w_cubic", lambda t: qpoly(0, -1, 0, 1))  # w^3 - w
+        inst = build_family_instance(1)
+        assert (inst.status, inst.field, inst.point) == ("split", None, None)
 
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -43,6 +49,17 @@ class TestVerifyInstance:
         assert outcome.order == 13
         assert outcome.on_curve
         assert outcome.disc_is_square and outcome.disc_nonzero
+
+    def test_point_and_cubic_checked_once(self, monkeypatch):
+        is_on_curve, rational_roots = WeierstrassCurve.is_on_curve, fields.rational_roots
+        calls = []
+        monkeypatch.setattr(WeierstrassCurve, "is_on_curve",
+                            lambda curve, point: calls.append("on") or is_on_curve(curve, point))
+        monkeypatch.setattr(fields, "rational_roots",
+                            lambda p: calls.append("roots") or rational_roots(p))
+        assert verify_family_instance(build_family_instance(Fraction(3, 5))).passed
+        assert calls.count("on") <= 2
+        assert calls.count("roots") == 1
 
     def test_point_on_curve_is_exact_identity(self):
         inst = build_family_instance(Fraction(-2, 5))

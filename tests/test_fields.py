@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -73,6 +74,29 @@ def test_field_element_protocol(field, a, b, p):
     if p is not None:
         assert (field(1) == Fraction(1, p)) is False
         assert (Fraction(1, p) == field.one) is False
+
+
+def mixed_field_cases():
+    """Pairs (a, b) from two different fields whose integer representatives agree."""
+    w3, w5 = NumberField(w_cubic(3)), NumberField(w_cubic(5))
+    return [
+        pytest.param(PrimeField(5)(1), PrimeField(7)(1), id="F_5,F_7"),
+        pytest.param(build_quadratic_extension(5).one, build_quadratic_extension(7).one,
+                     id="F_5^2,F_7^2"),
+        pytest.param(w3.one, w5.one, id="Q(w) t=3,t=5"),
+        pytest.param(PrimeField(7)(6), build_quadratic_extension(5)(1), id="F_7,F_5^2"),
+    ]
+
+
+@pytest.mark.parametrize("a, b", mixed_field_cases())
+def test_elements_of_different_fields_are_unequal_and_do_not_mix(a, b):
+    assert (a == b) is False and (b == a) is False
+    assert a != b and b != a
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)
 
 
 class TestPrimeField:
@@ -199,11 +223,6 @@ class TestNumberField:
                        for _ in range(3))
             assert (a + b) + c == a + (b + c)
             assert a * (b + c) == a * b + a * c
-
-    def test_serialization_round_trip(self, K):
-        e = K(Fraction(1, 2), Fraction(-3), Fraction(7, 9))
-        data = e.to_json()
-        assert data["coordinates"] == ["1/2", "-3/1", "7/9"]
 
 
 class TestNonIntegralNumberField:

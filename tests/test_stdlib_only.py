@@ -1,0 +1,24 @@
+"""The runtime package imports nothing outside the standard library."""
+
+import ast
+import pathlib
+import sys
+
+import torsion13
+
+SOURCES = sorted(pathlib.Path(torsion13.__file__).parent.glob("*.py"))
+
+
+def absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_every_absolute_import_is_stdlib():
+    assert SOURCES
+    outside = {(path.name, name) for path in SOURCES for name in absolute_imports(path)
+               if name.partition(".")[0] not in sys.stdlib_module_names}
+    assert not outside
