@@ -16,6 +16,10 @@ class SingularCurveError(ValueError):
     """The requested Weierstrass model has vanishing discriminant."""
 
 
+class PointNotOnCurveError(ValueError):
+    """A point handed to scalar_mul or point_order is not on the curve."""
+
+
 class OrderBoundExceededError(ValueError):
     """A point's order exceeds the bound handed to point_order."""
 
@@ -123,7 +127,7 @@ def add_points(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePo
 def scalar_mul(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint:
     """n*P by double-and-add; 0*P is infinity and (-n)*P = n*(-P)."""
     if not curve.is_on_curve(point):
-        raise ValueError("point not on curve")
+        raise PointNotOnCurveError("point not on curve")
     if n < 0:
         n, point = -n, negate_point(curve, point)
     result = INFINITY
@@ -137,16 +141,29 @@ def scalar_mul(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint
 
 
 def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int) -> int:
-    """Least n >= 1 with n*P = infinity, found by iterated addition up to bound."""
+    """Least n >= 1 with n*P = infinity, up to bound.
+
+    Meets in the middle: for k = 1, 2, ... it walks A = kP and B = (k+1)P.
+    The order is 2k when A = -A, and 2k + 1 when x(B) = x(A), because then
+    B = -A (B = A would force P = infinity).  Order n costs about n/2
+    additions.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if not curve.is_on_curve(point):
-        raise ValueError("point not on curve")
-    acc = point
-    for n in range(1, bound + 1):
-        if acc.is_infinity:
-            return n
-        acc = add_points(curve, acc, point)
+        raise PointNotOnCurveError("point not on curve")
+    if point.is_infinity:
+        return 1
+    a = point
+    for k in range(1, bound // 2 + 1):
+        if a == negate_point(curve, a):
+            return 2 * k
+        if 2 * k == bound:
+            break
+        b = add_points(curve, a, point)
+        if b.x == a.x:
+            return 2 * k + 1
+        a = b
     raise OrderBoundExceededError(f"order exceeds bound {bound}")
 
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import CurvePoint, WeierstrassCurve, point_order
+from .elliptic import (CurvePoint, PointNotOnCurveError, WeierstrassCurve,
+                       point_order)
 from .fields import NumberField
 from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,
                           frac_str, qpoly, rat_is_square)
@@ -158,12 +159,12 @@ def verify_family_instance(instance: FamilyInstance) -> FamilyVerification:
         failures.append(f"w-cubic splits at t={instance.t}")
         return FamilyVerification(instance.t, False, None, False, False,
                                   False, tuple(failures))
-    on_curve = instance.curve.is_on_curve(instance.point)
-    if not on_curve:
+    try:  # point_order tests the curve equation once, at entry
+        on_curve, order = True, point_order(instance.curve, instance.point, bound=20)
+    except PointNotOnCurveError:
+        on_curve, order = False, None
         failures.append("point does not satisfy the curve equation")
-    order = None
-    if on_curve:
-        order = point_order(instance.curve, instance.point, bound=20)
+    else:
         if order != 13:
             failures.append(f"order {order} != 13")
     square, _ = rat_is_square(instance.disc_w)

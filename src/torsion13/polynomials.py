@@ -11,6 +11,9 @@ arithmetic and truthiness (zero is falsy).  Operations that divide
 (divmod, gcd) additionally need field coefficients.
 Rational-specific helpers (rational_roots, poly_sqrt, serialization)
 expect Fraction coefficients; qpoly() builds those conveniently.
+A polynomial over Q builds its integer form (primitive integer
+coefficients and one rational scale) on first use; evaluation at a
+Fraction and rational_roots both read it, through one binary-form kernel.
 frac_str() is the one "num/den" serializer every JSON form uses.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 NEG_INFINITY = float("-inf")
 
@@ -41,7 +44,8 @@ def _invert(c):
 class Polynomial:
     """Dense univariate polynomial, constant term first, trailing zeros stripped."""
 
-    __slots__ = ("coeffs",)
+    # _int_form is filled by _integer_form() on first use, never at construction
+    __slots__ = ("coeffs", "_int_form")
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -125,11 +129,48 @@ class Polynomial:
         return result
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; the zero polynomial evaluates to plain 0."""
+        """Evaluate by Horner's rule; the zero polynomial evaluates to plain 0.
+
+        At a Fraction a/b a polynomial over Q is evaluated with integers
+        only: the binary form sum c_i a^i b^(n-i) of its integer form,
+        over one denominator.  The value is the Fraction Horner's rule gives.
+
+        >>> p = qpoly(Fraction(1, 2), 0, 3)
+        >>> p(Fraction(-2, 3))
+        Fraction(11, 6)
+        >>> p(Fraction(-2, 3)) == Fraction(1, 2) + 3 * Fraction(-2, 3) ** 2
+        True
+        """
+        if isinstance(x, Fraction):
+            form = self._integer_form()
+            if form is not None:
+                ints, num, den = form
+                b = x.denominator
+                return Fraction(num * _binary_form(ints, x.numerator, b),
+                                den * b ** (len(ints) - 1))
         result = 0
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
+
+    def _integer_form(self):
+        """(ints, num, den) with self = num/den * sum ints[i] x^i and ints primitive.
+
+        None unless self is a nonzero polynomial with int or Fraction
+        coefficients.  Computed on first use and cached.
+        """
+        try:
+            return self._int_form
+        except AttributeError:
+            pass
+        form = None
+        if self.coeffs and all(isinstance(c, (int, Fraction)) for c in self.coeffs):
+            den = lcm(*(c.denominator for c in self.coeffs))
+            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+            num = gcd(*ints)
+            form = (tuple(c // num for c in ints), num, den)
+        object.__setattr__(self, "_int_form", form)
+        return form
 
     def derivative(self) -> Polynomial:
         return Polynomial([i * self.coeffs[i] for i in range(1, len(self.coeffs))])
@@ -308,42 +349,48 @@ def _divisors(n: int):
     return divs
 
 
+def _binary_form(ints, a: int, b: int) -> int:
+    """sum ints[i] a^i b^(n-i), n = len(ints) - 1, by homogeneous Horner.
+
+    This is b^n times the polynomial with coefficients ints at a/b.
+    """
+    acc = ints[-1]
+    bpow = 1
+    for c in reversed(ints[:-1]):
+        bpow *= b
+        acc = acc * a + c * bpow
+    return acc
+
+
 def rational_roots(p: Polynomial):
     """Exact set of rational roots, by the rational-root theorem.
 
-    Denominators are cleared first; a zero constant term contributes the
-    root 0.  Raises on the zero polynomial.
+    Works on the integer form; a zero constant term contributes the root
+    0.  Raises on the zero polynomial.
+
+    >>> sorted(rational_roots(qpoly(0, Fraction(-1, 2), 0, 2)))
+    [Fraction(-1, 2), Fraction(0, 1), Fraction(1, 2)]
     """
     if p.is_zero():
         raise ValueError("rational roots of the zero polynomial")
-    coeffs = [Fraction(c) for c in p.coeffs]
+    form = p._integer_form()
+    if form is None:
+        raise TypeError("rational roots need coefficients in Q")
+    ints = form[0]
     roots = set()
-    while coeffs and coeffs[0] == 0:
+    low = next(i for i, c in enumerate(ints) if c)
+    if low:
         roots.add(Fraction(0))
-        coeffs = coeffs[1:]
-    if len(coeffs) <= 1:
+        ints = ints[low:]
+    if len(ints) == 1:
         return roots
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
-    ints = [c // content for c in ints]
-    n = len(ints) - 1
     nums = _divisors(abs(ints[0]))
     for den in _divisors(abs(ints[-1])):
-        # a/den is a root iff sum c_i a^i den^(n-i) = 0; Horner in a over these terms
-        terms = [c * den ** (n - i) for i, c in enumerate(ints)][::-1]
         for num in nums:
             if gcd(num, den) != 1:
                 continue
             for a in (num, -num):
-                acc = 0
-                for term in terms:
-                    acc = acc * a + term
-                if acc == 0:
+                if not _binary_form(ints, a, den):
                     roots.add(Fraction(a, den))
     return roots
 

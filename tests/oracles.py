@@ -273,3 +273,21 @@ def integer_sqrt_fraction(x):
     if a * a == x.numerator and b * b == x.denominator:
         return Fraction(a, b)
     return None
+
+
+def fraction_horner(coeffs, x):
+    """Value of sum coeffs[i] x^i by Horner's rule, one Fraction step at a time.
+
+    Coefficients are ints or Fractions, constant term first.  Without a
+    nonzero coefficient the value is the int 0; otherwise a Fraction.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return 0
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc

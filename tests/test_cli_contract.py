@@ -1,0 +1,62 @@
+"""Property tests of the CLI contract on the commands that take a rational
+or a height: whatever the value, the exit code is 0, 1 or 2, every stdout
+line is JSON, and stderr carries no traceback."""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")  # installed with the test tools, not declared
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from torsion13.cli import main  # noqa: E402
+
+# fixed examples and no example database, so runs repeat and tier-1 stays fast
+CONTRACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+NONZERO_RATIONALS = st.fractions(min_value=-10**4, max_value=10**4,
+                                 max_denominator=10**4).filter(bool)
+
+
+def assert_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses bad values with exit 2
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    for line in out.getvalue().splitlines():
+        json.loads(line)
+    assert "Traceback" not in err.getvalue(), argv
+
+
+def rational_arg(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+@CONTRACT
+@given(t=NONZERO_RATIONALS, json_only=st.booleans())
+def test_family_verify(t, json_only):
+    assert_contract(["family", "verify", "--t", rational_arg(t)]
+                    + ["--json-only"] * json_only)
+
+
+@CONTRACT
+@given(fiber_map=st.sampled_from(["y", "t"]), value=NONZERO_RATIONALS,
+       json_only=st.booleans())
+def test_fiber_classify(fiber_map, value, json_only):
+    assert_contract(["fiber", "classify", "--map", fiber_map, "--value", rational_arg(value)]
+                    + ["--json-only"] * json_only)
+
+
+@CONTRACT
+@given(curve=st.sampled_from(["d1", "d2", "d2min", "x"]),
+       height=st.integers(min_value=1, max_value=30), json_only=st.booleans())
+def test_search(curve, height, json_only):
+    assert_contract(["search", "--curve", curve, "--height", str(height)]
+                    + ["--json-only"] * json_only)

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from torsion13.elliptic import (INFINITY, CurvePoint, OrderBoundExceededError,
-                                SingularCurveError, WeierstrassCurve,
-                                add_points, negate_point,
+                                PointNotOnCurveError, SingularCurveError,
+                                WeierstrassCurve, add_points, negate_point,
                                 point_order, scalar_mul, tate_curve, tate_origin)
 from torsion13.family import build_family_instance
-from torsion13.fields import PrimeField
+from torsion13.fields import PrimeField, build_quadratic_extension
 from torsion13.polynomials import Polynomial, poly_divmod
 from torsion13.sporadic import sporadic_curve
 
@@ -90,10 +90,10 @@ class TestGroupLaw:
     def test_point_not_on_curve_rejected(self):
         c = qcurve(a4=-1)
         off = CurvePoint(Fraction(5), Fraction(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(PointNotOnCurveError):
             point_order(c, off, 5)
         for n in (0, 1, -3):
-            with pytest.raises(ValueError):
+            with pytest.raises(PointNotOnCurveError):
                 scalar_mul(c, n, off)
 
     def test_doubling_two_independent_paths_on_sporadic_curve(self):
@@ -182,6 +182,45 @@ class TestPointOrder:
         c = qcurve(a6=-2)  # (3,5) on y^2 = x^3 - 2 has infinite order
         with pytest.raises(OrderBoundExceededError):
             point_order(c, CurvePoint(Fraction(3), Fraction(5)), 10)
+
+    @pytest.mark.parametrize("p, degree", [(5, 1), (7, 1), (11, 1), (13, 1), (17, 1),
+                                           (2, 2), (3, 2)])
+    def test_matches_iterated_addition_on_every_point(self, p, degree):
+        """Every point of four curves over F_(p^degree) against the definition of the order."""
+        field = PrimeField(p) if degree == 1 else build_quadratic_extension(p)
+        elements = list(field.elements())
+        rng = random.Random(p ** degree)
+        curves = []
+        while len(curves) < 4:
+            a1, a2, a3, a4, a6 = (rng.choice(elements) for _ in range(5))
+            if not curves and p != 2:
+                a1 = a3 = field.zero  # one short model where the characteristic allows it
+            elif not (a1 and a3):
+                continue
+            try:
+                curves.append(WeierstrassCurve(a1, a2, a3, a4, a6))
+            except SingularCurveError:
+                continue
+        exceeded = found = 0
+        for curve in curves:
+            points = [INFINITY] + [CurvePoint(x, y) for x in elements for y in elements
+                                   if curve.is_on_curve(CurvePoint(x, y))]
+            for point in points:
+                for bound in (1, 2, 3, 5, 8, 40):
+                    expected, acc = None, point
+                    for n in range(1, bound + 1):
+                        if acc.is_infinity:
+                            expected = n
+                            break
+                        acc = add_points(curve, acc, point)
+                    if expected is None:
+                        exceeded += 1
+                        with pytest.raises(OrderBoundExceededError):
+                            point_order(curve, point, bound)
+                    else:
+                        found += 1
+                        assert point_order(curve, point, bound) == expected
+        assert exceeded and found
 
     def test_order_divisibility_structure(self):
         _, curve, origin = sporadic_curve()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from torsion13 import family, fields
-from torsion13.elliptic import WeierstrassCurve, scalar_mul
+from torsion13.elliptic import CurvePoint, WeierstrassCurve, scalar_mul
 from torsion13.family import (A_FUNCTION, B_FUNCTION, DENOMINATOR_QUARTIC,
                               build_family_instance,
                               verify_family_instance, verify_w_disc_identity,
@@ -58,8 +58,16 @@ class TestVerifyInstance:
         monkeypatch.setattr(fields, "rational_roots",
                             lambda p: calls.append("roots") or rational_roots(p))
         assert verify_family_instance(build_family_instance(Fraction(3, 5))).passed
-        assert calls.count("on") <= 2
+        assert calls.count("on") == 1
         assert calls.count("roots") == 1
+
+    def test_point_off_the_curve_is_a_failure_not_an_error(self):
+        import dataclasses
+        inst = build_family_instance(Fraction(3, 5))
+        off = dataclasses.replace(inst, point=CurvePoint(inst.point.x, inst.point.y + 1))
+        outcome = verify_family_instance(off)
+        assert (outcome.passed, outcome.on_curve, outcome.order) == (False, False, None)
+        assert outcome.failures == ("point does not satisfy the curve equation",)
 
     def test_point_on_curve_is_exact_identity(self):
         inst = build_family_instance(Fraction(-2, 5))

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from torsion13.family import w_cubic
+from torsion13.fields import NumberField, PrimeField
 from torsion13.polynomials import (NEG_INFINITY, Polynomial, RationalFunction,
                                    discriminant_cubic, enumerate_rationals,
                                    poly_divmod, poly_ext_gcd, poly_gcd, poly_sqrt,
                                    qpoly, rat_is_square, rational_roots)
 
-from oracles import primitive_prs_gcd, sylvester_resultant
+from oracles import fraction_horner, primitive_prs_gcd, sylvester_resultant
 
 D1 = qpoly(1, 1) * qpoly(1, 5, 6, -6, -31, -27)
 Q1 = qpoly(1, 5, 6, -6, -31, -27)  # the squarefree quintic factor
@@ -296,3 +298,82 @@ class TestRationalFunction:
         assert f(Fraction(2)) == Fraction(3, 2)
         with pytest.raises(ZeroDivisionError):
             f(Fraction(0))
+
+
+def random_coefficient(rng, kind):
+    """An int, a Fraction, or either ("mixed"); zero about one time in five."""
+    if rng.random() < 0.2:
+        return 0 if rng.random() < 0.5 else Fraction(0)
+    if kind == "mixed":
+        kind = rng.choice(("int", "fraction"))
+    if kind == "int":
+        return rng.randint(-10**4, 10**4)
+    return Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3))
+
+
+def evaluation_points(rng):
+    """u = 0, integers, negative values and large denominators."""
+    return [Fraction(0), Fraction(1), Fraction(-3), Fraction(-4, 13),
+            Fraction(rng.randint(-50, 50), rng.randint(1, 50)),
+            Fraction(-rng.randint(1, 10**9), rng.randint(1, 10**12)),
+            Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**40))]
+
+
+class TestEvaluationAgainstFractionHorner:
+    """Polynomial and RationalFunction at Fractions equal Fraction Horner, type included."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+    def test_polynomial_at_random_fractions(self, kind):
+        rng = random.Random(f"eval-{kind}")
+        for _ in range(150):
+            coeffs = [random_coefficient(rng, kind) for _ in range(rng.randint(0, 10))]
+            p = Polynomial(coeffs)
+            for u in evaluation_points(rng):
+                got, want = p(u), fraction_horner(coeffs, u)
+                assert got == want and type(got) is type(want), (coeffs, u)
+
+    def test_zero_and_constant_polynomials(self):
+        for coeffs in ([], [0], [Fraction(0), 0], [7], [Fraction(-5, 3)], [0, 0, 0]):
+            p = Polynomial(coeffs)
+            for u in (Fraction(0), Fraction(-9, 4), Fraction(10**20, 3**40)):
+                got, want = p(u), fraction_horner(coeffs, u)
+                assert got == want and type(got) is type(want)
+
+    def test_rational_function_at_random_fractions(self):
+        rng = random.Random("eval-rational-function")
+        checked = 0
+        while checked < 200:
+            num = [random_coefficient(rng, "mixed") for _ in range(rng.randint(0, 8))]
+            den = [random_coefficient(rng, "mixed") for _ in range(rng.randint(1, 6))]
+            if not any(den):
+                continue
+            f = RationalFunction(Polynomial(num), Polynomial(den))
+            for u in evaluation_points(rng):
+                den_value = fraction_horner(den, u)
+                if not den_value:
+                    continue
+                got = f(u)
+                want = Fraction(fraction_horner(num, u)) / den_value
+                assert got == want and type(got) is Fraction, (num, den, u)
+                checked += 1
+
+    def test_prime_field_coefficients_stay_on_the_generic_path(self):
+        field = PrimeField(101)
+        coeffs = [field(c) for c in (3, 0, 100, 7, 55)]
+        p = Polynomial(coeffs)
+        for u in (Fraction(3, 7), Fraction(-2), field(17)):
+            got = p(u)
+            assert type(got) is type(field.one)
+            assert got == sum((c * field(u) ** i for i, c in enumerate(coeffs)), field.zero)
+
+    def test_number_field_coefficients_stay_on_the_generic_path(self):
+        field = NumberField(w_cubic(Fraction(2, 3)))
+        w = field.generator()
+        coeffs = [w, Fraction(1, 2) * w * w, field.one, 3 - w]
+        p = Polynomial(coeffs)
+        for u in (Fraction(0), Fraction(-5, 9), Fraction(7)):
+            got = p(u)
+            assert type(got) is type(w)
+            assert got == sum((c * u ** i for i, c in enumerate(coeffs)), field.zero)
+        # a polynomial over Q at a number-field argument is not evaluated as a binary form
+        assert not field.minimal_polynomial(w)
