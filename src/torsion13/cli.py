@@ -35,8 +35,8 @@ MODELS = {
 # upper bounds on requested work, each checked at parse time.  A count is
 # O(p) and takes well under a second at p = 997; the cap bounds the request.
 COUNT_P_CAP = 1000
-# a search tries O(height^2) candidates u; at the cap the slowest curve (x) takes
-# about 15 s (2-vCPU VM, Python 3.11.7)
+# a search tries O(height^2) candidates u; at the cap the slowest curves (d2, d2min)
+# take about 6 s (2-vCPU VM, Python 3.11.7)
 SEARCH_HEIGHT_CAP = 750
 # a sweep builds and verifies O(height^2) parameters; at the cap it takes about 2.4 s
 # on the same machine

@@ -357,10 +357,10 @@ class NumberField(Field):
         if rational_roots(mp):
             raise ValueError("minimal polynomial is reducible (rational root)")
         object.__setattr__(self, "minimal_polynomial", mp)
-        den = lcm(*(c.denominator for c in mp.coeffs))
-        object.__setattr__(self, "_m", tuple(c.numerator * (den // c.denominator)
-                                             for c in mp.coeffs[:3]))
-        object.__setattr__(self, "_den", den)
+        # the primitive integer form of a monic cubic is (m0, m1, m2, D)
+        ints = mp._integer_form()[0]
+        object.__setattr__(self, "_m", ints[:3])
+        object.__setattr__(self, "_den", ints[3])
 
     def __call__(self, c0, c1=0, c2=0) -> NumberFieldElement:
         if isinstance(c0, NumberFieldElement):

@@ -42,7 +42,7 @@ class ModelPoint:
 class HyperellipticModel:
     """Smooth hyperelliptic model (f, h) with genus floor((deg(h^2+4f)-1)/2)."""
 
-    __slots__ = ("f", "h", "genus", "weight")
+    __slots__ = ("f", "h", "branch", "genus", "weight")
 
     def __init__(self, f: Polynomial, h: Polynomial):
         f = f.map_coefficients(Fraction)
@@ -59,6 +59,7 @@ class HyperellipticModel:
             raise ValueError("deg h exceeds g + 1")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "branch", branch)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "weight", genus + 1)
 
@@ -72,11 +73,16 @@ class HyperellipticModel:
         return ft, ht
 
     def points_at_infinity(self):
-        """Rational points in the U = 0 fiber of the infinity chart."""
-        ft, ht = self.infinity_chart()
-        f0, h0 = Fraction(ft[0]), Fraction(ht[0])
+        """Rational points in the U = 0 fiber of the infinity chart.
+
+        There V^2 + ht(0)V = ft(0), and ht(0)^2 + 4ft(0) is the coefficient
+        of u^(2g+2) in the branch polynomial, because deg h <= g + 1.
+        """
+        ok, s = rat_is_square(self.branch[2 * self.genus + 2])
+        if not ok:
+            return []
         return [ModelPoint("infinity", Fraction(0), v)
-                for v in _quadratic_roots(h0, f0)]
+                for v in _quadratic_roots(Fraction(self.h[self.weight]), s)]
 
     def satisfies(self, point: ModelPoint) -> bool:
         if point.chart == "affine":
@@ -100,14 +106,11 @@ class HyperellipticModel:
         return f"HyperellipticModel(f={self.f}, h={self.h}, genus={self.genus})"
 
 
-def _quadratic_roots(h0: Fraction, f0: Fraction):
-    """Rational solutions v of v^2 + h0 v = f0, sorted ascending."""
-    ok, s = rat_is_square(h0 * h0 + 4 * f0)
-    if not ok:
-        return []
+def _quadratic_roots(h0: Fraction, s: Fraction):
+    """The solutions v of v^2 + h0 v = f0, ascending, given s >= 0 with s^2 = h0^2 + 4f0."""
     if s == 0:
         return [-h0 / 2]
-    return sorted(((-h0 - s) / 2, (-h0 + s) / 2))
+    return [(-h0 - s) / 2, (-h0 + s) / 2]
 
 
 def _reduced_points(model: HyperellipticModel, field):
@@ -171,19 +174,21 @@ def is_smooth_mod_p(model: HyperellipticModel, p: int) -> bool:
 def search_rational_points(model: HyperellipticModel, height: int):
     """All rational points whose u-coordinate has height <= height, plus infinity.
 
-    For each candidate u the quadratic in v is solved exactly; a point
-    exists iff h(u)^2 + 4f(u) is a rational square.  The output order is
-    fixed: infinity points first, then affine points in the height
-    enumeration order of u with v ascending.
+    A point above the candidate u exists iff the branch polynomial
+    h(u)^2 + 4f(u) is a rational square, which one evaluation decides;
+    h(u) is evaluated only at the hits.  The output order is fixed:
+    infinity points first, then affine points in the height enumeration
+    order of u with v ascending.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    found = list(model.points_at_infinity())
+    found = model.points_at_infinity()
+    branch, h = model.branch, model.h
     for u in enumerate_rationals(height):
-        h0 = Fraction(model.h(u))
-        f0 = Fraction(model.f(u))
-        for v in _quadratic_roots(h0, f0):
-            found.append(ModelPoint("affine", u, v))
+        ok, s = rat_is_square(branch(u))
+        if ok:
+            found.extend(ModelPoint("affine", u, v)
+                         for v in _quadratic_roots(Fraction(h(u)), s))
     return found
 
 

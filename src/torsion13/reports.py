@@ -49,6 +49,7 @@ class ReportSink:
         self.claims = claims
         self.json_only = json_only
         self.reports: list[VerificationReport] = []
+        self.start = time.monotonic()
 
     def emit(self, report: VerificationReport):
         self.reports.append(report)
@@ -89,8 +90,10 @@ class ReportSink:
         return any(r.status == FAIL for r in self.reports)
 
     def summary_line(self) -> str:
+        """Counts by status and the time since the sink was created."""
         counts = {PASS: 0, FAIL: 0, EVIDENCE: 0}
         for r in self.reports:
             counts[r.status] = counts.get(r.status, 0) + 1
+        total = int((time.monotonic() - self.start) * 1000)
         return (f"{len(self.reports)} checks: {counts[PASS]} pass, "
-                f"{counts[FAIL]} fail, {counts[EVIDENCE]} evidence")
+                f"{counts[FAIL]} fail, {counts[EVIDENCE]} evidence in {total} ms")

@@ -291,3 +291,36 @@ def fraction_horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def search_points(f, h, genus, height):
+    """Rational points (chart, u, v) of v^2 + h(u)v = f(u) with H(u) <= height.
+
+    f, h: coefficient lists (ints or Fractions, constant term first).  Each
+    u = p/q in lowest terms with |p|, q <= height is tried by solving the
+    quadratic in v with the formula, in Fractions; the infinity chart's
+    U = 0 fiber solves V^2 + h[g+1]V = f[2g+2].  Order: infinity points,
+    then u by denominator and numerator ascending, v ascending.
+    """
+    f = [Fraction(c) for c in f]
+    h = [Fraction(c) for c in h]
+
+    def value(coeffs, x):
+        return sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
+
+    def roots(b, c):
+        """Rational v with v^2 + bv - c = 0, ascending."""
+        s = integer_sqrt_fraction(b * b + 4 * c)
+        return [] if s is None else sorted({(-b - s) / 2, (-b + s) / 2})
+
+    def coeff(coeffs, i):
+        return coeffs[i] if i < len(coeffs) else Fraction(0)
+
+    points = [("infinity", Fraction(0), v)
+              for v in roots(coeff(h, genus + 1), coeff(f, 2 * genus + 2))]
+    for q in range(1, height + 1):
+        for p in range(-height, height + 1):
+            if gcd(p, q) == 1:  # 0 only as 0/1
+                u = Fraction(p, q)
+                points += [("affine", u, v) for v in roots(value(h, u), value(f, u))]
+    return points

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -187,7 +188,16 @@ class TestVerifyAll:
                 "search.d1.expected", "sieve.d1", "search.d2.expected",
                 "count.d2min.2", "smooth.d2min.2", "jacobian.19",
                 "sporadic.origin_has_order_13"} <= ids
-        assert "checks:" in err  # human summary on stderr
+        # human summary on stderr: counts, then the command's total time,
+        # which covers every check's elapsed_ms
+        summary = err.splitlines()[-1]
+        match = re.fullmatch(r"17 checks: (\d+) pass, 0 fail, (\d+) evidence in (\d+) ms",
+                             summary)
+        assert match, summary
+        statuses = [r["status"] for r in reports]
+        assert int(match[1]) == statuses.count("pass")
+        assert int(match[2]) == statuses.count("evidence")
+        assert int(match[3]) >= sum(r["elapsed_ms"] for r in reports)
 
     def test_failed_d1_search_fails_the_sieve(self, capsys, monkeypatch):
         models = counting_search(monkeypatch, fail_on=x13.D1_MODEL)

@@ -1,6 +1,6 @@
-"""Property tests of the CLI contract on the commands that take a rational
-or a height: whatever the value, the exit code is 0, 1 or 2, every stdout
-line is JSON, and stderr carries no traceback."""
+"""Property tests of the CLI contract on the commands that take a rational,
+a height or a prime: whatever the value, the exit code is 0, 1 or 2, every
+stdout line is JSON, and stderr carries no traceback."""
 
 import contextlib
 import io
@@ -11,7 +11,7 @@ import pytest
 
 pytest.importorskip("hypothesis")  # installed with the test tools, not declared
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from torsion13.cli import main  # noqa: E402
 
@@ -59,4 +59,26 @@ def test_fiber_classify(fiber_map, value, json_only):
        height=st.integers(min_value=1, max_value=30), json_only=st.booleans())
 def test_search(curve, height, json_only):
     assert_contract(["search", "--curve", curve, "--height", str(height)]
+                    + ["--json-only"] * json_only)
+
+
+@CONTRACT
+@given(curve=st.sampled_from(["d1", "d2", "d2min", "x"]),
+       p=st.integers(min_value=-5, max_value=1100), json_only=st.booleans())
+@example(curve="d1", p=2, json_only=False)  # bad reduction: a fail report, exit 1
+@example(curve="x", p=997, json_only=False)  # the largest prime under the cap
+@example(curve="d2min", p=1009, json_only=True)  # a prime above the cap
+def test_count(curve, p, json_only):
+    # composites, values below 2 and values above the cap are refused with exit 2
+    assert_contract(["count", "--curve", curve, "--p", str(p)]
+                    + ["--json-only"] * json_only)
+
+
+@CONTRACT
+@given(height=st.integers(min_value=-3, max_value=8), json_only=st.booleans())
+@example(height=0, json_only=False)
+@example(height=37, json_only=False)
+@example(height=1000, json_only=True)
+def test_family_sweep(height, json_only):
+    assert_contract(["family", "sweep", "--height", str(height)]
                     + ["--json-only"] * json_only)

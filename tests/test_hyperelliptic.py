@@ -11,7 +11,7 @@ from torsion13.hyperelliptic import (HyperellipticModel, ModelPoint, _reduced_po
 from torsion13.polynomials import Polynomial, qpoly
 from torsion13.x13 import D1_MODEL, D2_MIN_MODEL, D2_RAW_MODEL, X13_MODEL
 
-from oracles import count_curve_points, divisor_class_count, primes_upto
+from oracles import count_curve_points, divisor_class_count, primes_upto, search_points
 
 
 def int_coeffs(poly):
@@ -176,6 +176,32 @@ class TestSearch:
             for p in search_rational_points(model, 30):
                 assert model.satisfies(p)
 
+    def test_ordered_points_equal_oracle_search(self):
+        # random genus-2 and genus-3 models, h = 0 and h != 0, and two models
+        # with rational branch points (one v there), against the quadratic
+        # formula in plain Fractions; the type check catches a float v
+        # (-0/2 from an int h(u) = 0), which compares equal to a Fraction
+        rng = random.Random(29)
+        models = [model for genus in (2, 3) for with_h in (False, True)
+                  for model in random_models(rng, 5, genus, with_h)]
+        models.append(HyperellipticModel(f=qpoly(0, -1, 0, 0, 0, 1), h=Polynomial()))
+        # h^2 + 4f = (u - 1)(u^5 + 2): the branch point u = 1 carries v = -h(1)/2 = -1
+        models.append(HyperellipticModel(
+            f=qpoly(Fraction(-3, 4), 0, Fraction(-1, 4), 0, 0, Fraction(-1, 4), Fraction(1, 4)),
+            h=qpoly(1, 1)))
+        kinds = set()
+        for model in models:
+            height = rng.randint(1, 12)
+            points = search_rational_points(model, height)
+            assert all(type(p.u) is Fraction and type(p.v) is Fraction for p in points)
+            assert [(p.chart, p.u, p.v) for p in points] == search_points(
+                model.f.coeffs, model.h.coeffs, model.genus, height)
+            above = {}
+            for p in points:
+                above.setdefault((p.chart, p.u), []).append(p.v)
+            kinds |= {(chart, len(vs)) for (chart, _), vs in above.items()}
+        assert kinds == {("infinity", 1), ("infinity", 2), ("affine", 1), ("affine", 2)}
+
     def test_nontrivial_v_solutions_on_x13(self):
         pts = search_rational_points(X13_MODEL, 2)
         affine = {(p.u, p.v) for p in pts if p.chart == "affine"}
@@ -256,19 +282,19 @@ def brute_force_points(model, p):
     return points
 
 
-def random_genus2_models(rng, count):
-    """Valid genus-2 Q-models with h != 0 and small integer coefficients."""
+def random_models(rng, count, genus=2, with_h=True):
+    """Valid Q-models of the genus with small integer coefficients, h != 0 or h = 0."""
     models = []
     while len(models) < count:
-        f = qpoly(*(rng.randint(-3, 3) for _ in range(7)))
-        h = qpoly(*(rng.randint(-2, 2) for _ in range(4)))
-        if h.is_zero():
+        f = qpoly(*(rng.randint(-3, 3) for _ in range(2 * genus + 3)))
+        h = qpoly(*(rng.randint(-2, 2) for _ in range(genus + 2))) if with_h else Polynomial()
+        if h.is_zero() == with_h:
             continue
         try:
             model = HyperellipticModel(f=f, h=h)
         except ValueError:
             continue
-        if model.genus == 2:
+        if model.genus == genus:
             models.append(model)
     return models
 
@@ -284,7 +310,7 @@ class TestRootTableEnumerator:
     def test_random_h_nonzero_models_in_characteristic_2(self):
         # both Artin-Schreier branches: h(u) = 0 (one v) and h(u) != 0 (zero or two)
         branches = {2: set(), 4: set()}
-        for model in random_genus2_models(random.Random(13), 24):
+        for model in random_models(random.Random(13), 24):
             for field, squared in ((PrimeField(2), False), (build_quadratic_extension(2), True)):
                 oracle = count_curve_points(int_coeffs(model.f), int_coeffs(model.h),
                                             model.genus, 2, squared=squared)
@@ -296,7 +322,7 @@ class TestRootTableEnumerator:
 
     def test_yielded_points_equal_exhaustive_pairs(self):
         # counts alone cannot see a wrong v in characteristic 2 (v -> h(u)v is a bijection)
-        models = [X13_MODEL, D1_MODEL, D2_MIN_MODEL] + random_genus2_models(random.Random(7), 6)
+        models = [X13_MODEL, D1_MODEL, D2_MIN_MODEL] + random_models(random.Random(7), 6)
         for model in models:
             for field in (PrimeField(2), build_quadratic_extension(2),
                           PrimeField(3), build_quadratic_extension(3)):
