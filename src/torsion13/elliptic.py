@@ -74,8 +74,20 @@ class WeierstrassCurve:
         if point.is_infinity:
             return True
         x, y = point.x, point.y
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x * x * x + self.a2 * (x * x) + self.a4 * x + self.a6
+        a1, a2, a3, a4, a6 = self.coefficients()
+        xx = x * x
+        lhs = y * y
+        if a1:
+            lhs = lhs + x * y * a1
+        if a3:
+            lhs = lhs + y * a3
+        rhs = xx * x
+        if a2:
+            rhs = rhs + xx * a2
+        if a4:
+            rhs = rhs + x * a4
+        if a6:
+            rhs = rhs + a6
         return lhs == rhs
 
     def __eq__(self, other):
@@ -94,33 +106,62 @@ class WeierstrassCurve:
 def negate_point(curve: WeierstrassCurve, point: CurvePoint) -> CurvePoint:
     if point.is_infinity:
         return point
-    return CurvePoint(point.x, -point.y - curve.a1 * point.x - curve.a3)
+    x, y = point.x, -point.y
+    if curve.a1:
+        y = y - x * curve.a1
+    if curve.a3:
+        y = y - curve.a3
+    return CurvePoint(x, y)
 
 
 def add_points(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     """Chord-tangent addition, valid in every characteristic.
 
     Both points must lie on the curve.  Points enter the group law through
-    scalar_mul and point_order, which check this once.
+    scalar_mul and point_order, which check this once.  Then x1 = x2 means
+    Q = -P or Q = P, and the denominator y1 + y2 + a1 x2 + a3 is zero for
+    Q = -P and equals the tangent's 2 y1 + a1 x1 + a3 for Q = P.
+
+    Each term whose curve coefficient is zero is skipped, and a coordinate
+    stands on the left of each coefficient product, so a curve over Q with
+    a point over a number field multiplies no element by a zero Fraction.
     """
     if p.is_infinity:
         return q
     if q.is_infinity:
         return p
-    a1, a2, a3, a4, a6 = curve.coefficients()
+    a1, a2, a3, a4, _ = curve.coefficients()
     x1, y1, x2, y2 = p.x, p.y, q.x, q.y
     if x1 == x2:
-        if not (y1 + y2 + a1 * x2 + a3):
+        den = y1 + y2
+        if a1:
+            den = den + x2 * a1
+        if a3:
+            den = den + a3
+        if not den:
             return INFINITY
-        num = 3 * (x1 * x1) + 2 * (a2 * x1) + a4 - a1 * y1
-        den = 2 * y1 + a1 * x1 + a3
+        num = x1 * x1 * 3
+        if a2:
+            num = num + x1 * a2 * 2
+        if a4:
+            num = num + a4
+        if a1:
+            num = num - y1 * a1
     else:
         num = y2 - y1
         den = x2 - x1
     lam = num / den
-    nu = y1 - lam * x1
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
+    x3 = lam * lam - x1 - x2
+    if a1:
+        x3 = x3 + lam * a1
+    if a2:
+        x3 = x3 - a2
+    # y3 = -(lam x3 + nu) - a1 x3 - a3 with nu = y1 - lam x1
+    y3 = (x1 - x3) * lam - y1
+    if a1:
+        y3 = y3 - x3 * a1
+    if a3:
+        y3 = y3 - a3
     return CurvePoint(x3, y3)
 
 

@@ -7,9 +7,10 @@ field of the same kind, or None for any other type), +, *, unary -,
 inverse(), == (False across fields), bool (zero is falsy), hash and repr.
 FieldElement derives -, / (with an int or a Fraction on either side), **
 (square and multiply; a negative exponent inverts first) and immutability
-from them.  Each field kind subclasses Field, which derives zero, one and
-immutability from its __call__.  Curve and model code is generic over the
-elements, with Fraction itself serving as the field Q.
+from them; NumberFieldElement overrides - with an integer kernel that
+builds one element, like its +.  Each field kind subclasses Field, which
+derives zero, one and immutability from its __call__.  Curve and model code
+is generic over the elements, with Fraction itself serving as the field Q.
 """
 
 from __future__ import annotations
@@ -441,6 +442,17 @@ class NumberFieldElement(FieldElement):
                         a2 * db + b2 * da, da * db)
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        (a0, a1, a2), da = self._num, self._den
+        (b0, b1, b2), db = o._num, o._den
+        if da == db:
+            return _element(self.field, a0 - b0, a1 - b1, a2 - b2, da)
+        return _element(self.field, a0 * db - b0 * da, a1 * db - b1 * da,
+                        a2 * db - b2 * da, da * db)
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -366,7 +366,9 @@ def rational_roots(p: Polynomial):
     """Exact set of rational roots, by the rational-root theorem.
 
     Works on the integer form; a zero constant term contributes the root
-    0.  Raises on the zero polynomial.
+    0.  A candidate a/b with 11 not dividing b is tested exactly only when
+    a * b^-1 is a root of the form mod 11; candidates with 11 | b are all
+    tested.  Raises on the zero polynomial.
 
     >>> sorted(rational_roots(qpoly(0, Fraction(-1, 2), 0, 2)))
     [Fraction(-1, 2), Fraction(0, 1), Fraction(1, 2)]
@@ -384,12 +386,17 @@ def rational_roots(p: Polynomial):
         ints = ints[low:]
     if len(ints) == 1:
         return roots
+    # b^n f(a/b) = F(a, b), so a root a/b with 11 not dividing b makes a * b^-1 a root mod 11
+    root_mod_11 = [not _binary_form(ints, r, 1) % 11 for r in range(11)]
     nums = _divisors(abs(ints[0]))
     for den in _divisors(abs(ints[-1])):
+        inv = pow(den, -1, 11) if den % 11 else None
         for num in nums:
             if gcd(num, den) != 1:
                 continue
             for a in (num, -num):
+                if inv is not None and not root_mod_11[a * inv % 11]:
+                    continue
                 if not _binary_form(ints, a, den):
                     roots.add(Fraction(a, den))
     return roots

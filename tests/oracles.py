@@ -2,8 +2,9 @@
 
 Everything here is deliberately coded from first principles against the
 textbook definitions (Sylvester determinants, pseudo-remainder gcd,
-double loops over finite fields, Mumford pairs), not by calling the code
-paths under test.
+double loops over finite fields, Mumford pairs, chord-and-tangent lines,
+unfiltered rational-root candidates), not by calling the code paths under
+test.
 """
 
 from fractions import Fraction
@@ -324,3 +325,99 @@ def search_points(f, h, genus, height):
                 u = Fraction(p, q)
                 points += [("affine", u, v) for v in roots(value(h, u), value(f, u))]
     return points
+
+
+def weierstrass_equation(coeffs, x, y):
+    """y^2 + a1 xy + a3 y - (x^3 + a2 x^2 + a4 x + a6), every term evaluated."""
+    a1, a2, a3, a4, a6 = coeffs
+    return y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x - a4 * x - a6
+
+
+def _divide_by_root(coeffs, r):
+    """Quotient of sum coeffs[i] x^i by (x - r), by synthetic division; r must be a root."""
+    quotient = [coeffs[-1]]
+    for c in reversed(coeffs[1:-1]):
+        quotient.append(c + r * quotient[-1])
+    assert not coeffs[0] + r * quotient[-1], "not a root of the line-substituted cubic"
+    return quotient[::-1]
+
+
+def chord_tangent_sum(coeffs, p, q):
+    """P + Q on a long Weierstrass curve; points are (x, y) pairs, None for infinity.
+
+    The line through P and Q (the tangent, slope -F_x/F_y, when P = Q) is
+    substituted into the curve equation F; the cubic in x this gives is
+    divided by (x - x1)(x - x2), and its last root x3 with the line's y3 is
+    the third intersection.  P + Q is that point's reflection, the other
+    root y of F(x3, y) = 0.
+    """
+    if p is None:
+        return q
+    if q is None:
+        return p
+    a1, a2, a3, a4, a6 = coeffs
+    (x1, y1), (x2, y2) = p, q
+    if x1 != x2:
+        lam = (y2 - y1) / (x2 - x1)
+    elif y1 != y2:
+        return None  # the vertical chord: Q = -P
+    else:
+        f_y = 2 * y1 + a1 * x1 + a3
+        if not f_y:
+            return None  # the vertical tangent: P has order 2
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / f_y
+    nu = y1 - lam * x1
+    # F(x, lam x + nu), constant term first
+    cubic = [nu * nu + a3 * nu - a6,
+             2 * lam * nu + a1 * nu + a3 * lam - a4,
+             lam * lam + a1 * lam - a2,
+             -1]
+    linear = _divide_by_root(_divide_by_root(cubic, x1), x2)
+    x3 = -linear[0] / linear[1]
+    y3 = lam * x3 + nu
+    return (x3, -y3 - a1 * x3 - a3)
+
+
+def order_by_addition(coeffs, point, bound):
+    """Least n <= bound with n P = infinity by repeated chord_tangent_sum, else None."""
+    acc, n = point, 1
+    while acc is not None:
+        if n == bound:
+            return None
+        acc, n = chord_tangent_sum(coeffs, acc, point), n + 1
+    return n
+
+
+def _divisors_by_trial(n):
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return set(small) | {n // d for d in small}
+
+
+def rational_roots_by_candidates(coeffs):
+    """Rational roots of sum coeffs[i] x^i by the rational-root theorem, unfiltered.
+
+    coeffs: ints or Fractions, constant term first, not all zero.  The
+    denominators are cleared, and every candidate +-p/q with p dividing the
+    lowest nonzero and q the leading integer coefficient is a root when
+    q^n times the value there, sum c_i p^i q^(n-i), is zero.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    while not coeffs[-1]:
+        coeffs.pop()
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    roots = set()
+    if not ints[0]:
+        roots.add(Fraction(0))
+        while not ints[0]:
+            ints.pop(0)
+    n = len(ints) - 1
+    for q in _divisors_by_trial(ints[-1]):
+        for p in _divisors_by_trial(ints[0]):
+            for a in (p, -p):
+                if sum(c * a**i * q**(n - i) for i, c in enumerate(ints)) == 0:
+                    roots.add(Fraction(a, q))
+    return roots

@@ -1,6 +1,6 @@
 """Property tests of the CLI contract on the commands that take a rational,
-a height or a prime: whatever the value, the exit code is 0, 1 or 2, every
-stdout line is JSON, and stderr carries no traceback."""
+a height, a prime or a bound: whatever the value, the exit code is 0, 1 or 2,
+every stdout line is JSON, and stderr carries no traceback."""
 
 import contextlib
 import io
@@ -81,4 +81,14 @@ def test_count(curve, p, json_only):
 @example(height=1000, json_only=True)
 def test_family_sweep(height, json_only):
     assert_contract(["family", "sweep", "--height", str(height)]
+                    + ["--json-only"] * json_only)
+
+
+@CONTRACT
+@given(bound=st.integers(min_value=-5, max_value=300), json_only=st.booleans())
+@example(bound=49, json_only=False)  # below the smallest accepted bound
+@example(bound=50, json_only=False)  # the smallest accepted bound
+@example(bound=10001, json_only=True)  # above the cap
+def test_sporadic_verify(bound, json_only):
+    assert_contract(["sporadic", "verify", "--fingerprint-bound", str(bound)]
                     + ["--json-only"] * json_only)

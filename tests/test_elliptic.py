@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,43 +8,24 @@ from torsion13.elliptic import (INFINITY, CurvePoint, OrderBoundExceededError,
                                 PointNotOnCurveError, SingularCurveError,
                                 WeierstrassCurve, add_points, negate_point,
                                 point_order, scalar_mul, tate_curve, tate_origin)
-from torsion13.family import build_family_instance
-from torsion13.fields import PrimeField, build_quadratic_extension
-from torsion13.polynomials import Polynomial, poly_divmod
+from torsion13.family import build_family_instance, w_cubic
+from torsion13.fields import NumberField, PrimeField, build_quadratic_extension
 from torsion13.sporadic import sporadic_curve
+
+from oracles import chord_tangent_sum, order_by_addition, weierstrass_equation
 
 
 def qcurve(a1=0, a2=0, a3=0, a4=0, a6=0):
     return WeierstrassCurve(*(Fraction(v) for v in (a1, a2, a3, a4, a6)))
 
 
-def double_via_line(curve, point):
-    """Independent doubling: tangent line, then the cubic's third root by division.
+def as_pair(point):
+    """A CurvePoint in the oracle's form: (x, y), or None for infinity."""
+    return None if point.is_infinity else (point.x, point.y)
 
-    Substitutes y = lam*x + nu into the curve equation and divides the
-    resulting cubic by (x - x1)^2 exactly, instead of using the closed
-    x3 = lam^2 + a1*lam - a2 - 2*x1 formula.
-    """
-    a1, a2, a3, a4, a6 = curve.coefficients()
-    x1, y1 = point.x, point.y
-    den = 2 * y1 + a1 * x1 + a3
-    if not den:
-        return INFINITY
-    lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
-    nu = y1 - lam * x1
-    # (lam x + nu)^2 + a1 x (lam x + nu) + a3 (lam x + nu) - x^3 - a2 x^2 - a4 x - a6
-    one = x1 - x1 + 1
-    cubic = Polynomial([
-        nu * nu + a3 * nu - a6,
-        2 * lam * nu + a1 * nu + a3 * lam - a4,
-        lam * lam + a1 * lam - a2,
-        -one,
-    ])
-    linear, rem = poly_divmod(cubic, Polynomial([x1 * x1, -2 * x1, one]))
-    assert rem.is_zero(), "x1 is not a double root of the intersection cubic"
-    x3 = -linear[0] / linear[1]
-    y3 = -(lam * x3 + nu) - a1 * x3 - a3
-    return CurvePoint(x3, y3)
+
+def as_point(pair):
+    return INFINITY if pair is None else CurvePoint(*pair)
 
 
 class TestInvariants:
@@ -99,7 +81,8 @@ class TestGroupLaw:
     def test_doubling_two_independent_paths_on_sporadic_curve(self):
         field, curve, origin = sporadic_curve()
         lib = add_points(curve, origin, origin)
-        oracle = double_via_line(curve, origin)
+        oracle = as_point(chord_tangent_sum(curve.coefficients(), as_pair(origin),
+                                            as_pair(origin)))
         assert lib == oracle
         assert curve.is_on_curve(lib)
         # x(2*(0,0)) is the Tate parameter b
@@ -111,7 +94,8 @@ class TestGroupLaw:
         for p in (CurvePoint(Fraction(2), Fraction(3)),
                   CurvePoint(Fraction(0), Fraction(1)),
                   CurvePoint(Fraction(-1), Fraction(0))):
-            assert add_points(c2, p, p) == double_via_line(c2, p)
+            assert as_pair(add_points(c2, p, p)) == \
+                chord_tangent_sum(c2.coefficients(), as_pair(p), as_pair(p))
 
     def test_commutativity_associativity_over_prime_field(self):
         fp = PrimeField(13)
@@ -143,6 +127,136 @@ class TestGroupLaw:
             assert add_points(curve, a, b) == add_points(curve, b, a)
             assert add_points(curve, add_points(curve, a, b), c) == \
                 add_points(curve, a, add_points(curve, b, c))
+
+
+# which of (a1, a2, a3, a4, a6) are nonzero; with a3 = a4 = a6 = 0 the origin is singular
+PATTERNS = list(itertools.product((False, True), repeat=5))
+NONSINGULAR_PATTERNS = [pattern for pattern in PATTERNS if any(pattern[2:])]
+# in characteristic 3, F_x = 3x^2 + 2 a2 x + a4 - a1 y vanishes identically when
+# a1 = a2 = a4 = 0, so y^2 + a3 y = x^3 + a6 is singular where F_y = 2y + a3 vanishes
+CHAR_3_SINGULAR = [pattern for pattern in NONSINGULAR_PATTERNS
+                   if not (pattern[0] or pattern[1] or pattern[3])]
+
+
+def finite_field_curves(field, seed):
+    """(pattern, curve, E(F) with infinity, bound) for each pattern with a nonsingular draw."""
+    elements = list(field.elements())
+    nonzero = [e for e in elements if e]
+    rng = random.Random(seed)
+    for pattern in PATTERNS:
+        for _ in range(30):
+            coeffs = [rng.choice(nonzero) if on else field.zero for on in pattern]
+            try:
+                curve = WeierstrassCurve(*coeffs)
+            except SingularCurveError:
+                continue
+            points = [INFINITY] + [CurvePoint(x, y) for x in elements for y in elements
+                                   if not weierstrass_equation(coeffs, x, y)]
+            yield pattern, curve, points, 40
+            break
+
+
+def curves_through_random_points(random_coordinate, seed):
+    """(pattern, curve, points, bound) over a field of characteristic 0, per pattern.
+
+    The curve passes through a random point P: the pattern's other nonzero
+    coefficients are random nonzero Fractions, and its last nonzero
+    coefficient solves the curve equation at P, so it lies in the field of
+    P.  The points are O, P, -P and 2P, from the oracle; the small order
+    bound keeps the multiples' heights down.
+    """
+    rng = random.Random(seed)
+    for pattern in PATTERNS:
+        if not any(pattern[2:]):
+            continue
+        last = max(i for i in range(5) if pattern[i])
+        for _ in range(30):
+            x0, y0 = random_coordinate(rng), random_coordinate(rng)
+            if not (x0 and y0):
+                continue
+            coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                      if on else Fraction(0) for on in pattern]
+            coeffs[last] = Fraction(0)
+            # the curve equation is linear in each coefficient, with these factors
+            factor = (x0 * y0, -(x0 * x0), y0, -x0, -1)[last]
+            coeffs[last] = -weierstrass_equation(coeffs, x0, y0) / factor
+            if not coeffs[last]:
+                continue
+            try:
+                curve = WeierstrassCurve(*coeffs)
+            except SingularCurveError:
+                continue
+            p = (x0, y0)
+            minus_p = (x0, -y0 - coeffs[0] * x0 - coeffs[2])
+            pairs = [None, p, minus_p, chord_tangent_sum(coeffs, p, p)]
+            yield pattern, curve, [as_point(pair) for pair in pairs], 4
+            break
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+
+def oracle_cases(field_name):
+    """(cases, expected pattern count, rational) for one field of the group-law oracle test."""
+    if field_name == "F_7":
+        return list(finite_field_curves(PrimeField(7), 7)), len(NONSINGULAR_PATTERNS), False
+    if field_name == "F_9":
+        cases = list(finite_field_curves(build_quadratic_extension(3), 9))
+        return cases, len(NONSINGULAR_PATTERNS) - len(CHAR_3_SINGULAR), False
+    if field_name == "Q":
+        cases = list(curves_through_random_points(random_rational, 11))
+        # rational torsion: (0, 0) has order 5 on E(1, 1) and order 7 on E(4, 2)
+        for b, c in ((1, 1), (4, 2)):
+            curve = tate_curve(Fraction(b), Fraction(c))
+            origin = tate_origin(curve)
+            cases.append((None, curve, [INFINITY, origin, add_points(curve, origin, origin)], 13))
+        return cases, len(NONSINGULAR_PATTERNS), True
+    field = NumberField(w_cubic(Fraction(3, 5)))
+
+    def random_element(rng):
+        return field(random_rational(rng), random_rational(rng), random_rational(rng))
+
+    cases = list(curves_through_random_points(random_element, 13))
+    # the family member: rational coefficients, a point of order 13 over Q(w)
+    member = build_family_instance(Fraction(3, 5))
+    cases.append((None, member.curve, [INFINITY, member.point], 13))
+    return cases, len(NONSINGULAR_PATTERNS), False
+
+
+@pytest.mark.parametrize("field_name", ["F_7", "F_9", "Q", "Q(w) t=3/5"])
+def test_group_law_matches_chord_tangent_oracle(field_name):
+    """is_on_curve, negate_point, add_points and point_order against the oracles
+    of tests/oracles.py, on a curve for each zero/nonzero pattern of the coefficients."""
+    cases, expected_patterns, rational = oracle_cases(field_name)
+    assert len({pattern for pattern, _, _, _ in cases if pattern}) == expected_patterns
+    for _, curve, points, bound in cases:
+        coeffs = curve.coefficients()
+        computed = []
+        for p in points:
+            assert curve.is_on_curve(p)
+            if not p.is_infinity:
+                for off in (CurvePoint(p.x, p.y + 1), CurvePoint(p.x + 1, p.y)):
+                    on = not weierstrass_equation(coeffs, off.x, off.y)
+                    assert curve.is_on_curve(off) == on
+            minus = negate_point(curve, p)
+            computed.append(minus)
+            assert minus.x == p.x and curve.is_on_curve(minus)
+            assert chord_tangent_sum(coeffs, as_pair(p), as_pair(minus)) is None
+            for q in points:
+                total = add_points(curve, p, q)
+                computed.append(total)
+                assert as_pair(total) == chord_tangent_sum(coeffs, as_pair(p), as_pair(q))
+            expected = order_by_addition(coeffs, as_pair(p), bound)
+            if expected is None:
+                with pytest.raises(OrderBoundExceededError):
+                    point_order(curve, p, bound)
+            else:
+                assert point_order(curve, p, bound) == expected
+        if rational:
+            # Fraction inputs give Fraction coordinates, never a float that compares equal
+            assert all(type(c) is Fraction for r in computed if not r.is_infinity
+                       for c in (r.x, r.y))
 
 
 class TestScalarMul:

@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -241,6 +242,31 @@ class TestNonIntegralNumberField:
             e = random_element(L, rng)
             if e:
                 assert e * e.inverse() == L.one
+
+    def test_subtraction_is_adding_the_negative(self, L):
+        """a - b == a + (-b) in lowest terms, with an element, an int or a Fraction as b,
+        and with an int or a Fraction on the left."""
+        def assert_same(diff, expected):
+            assert diff == expected and hash(diff) == hash(expected)
+            assert diff._den > 0 and gcd(*diff._num, diff._den) == 1
+
+        rng = random.Random(47)
+        denominators = {True: 0, False: 0}
+        for _ in range(300):
+            a = random_element(L, rng)
+            if rng.random() < 0.5:
+                b = a + L(*(rng.randint(-9, 9) for _ in range(3)))  # a's denominator
+            else:
+                b = random_element(L, rng, max_den=12)
+            denominators[a._den == b._den] += 1
+            assert_same(a - b, a + (-b))
+            for s in (rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))):
+                assert_same(a - s, a + (-s))
+                assert_same(s - a, s + (-a))
+        assert all(denominators.values())
+        a = random_element(L, rng)
+        assert_same(a - a, L.zero)
+        assert (a - a)._den == 1
 
     def test_canonical_form(self, L):
         assert L(Fraction(2, 4)) == L(Fraction(1, 2))

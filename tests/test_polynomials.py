@@ -10,7 +10,8 @@ from torsion13.polynomials import (NEG_INFINITY, Polynomial, RationalFunction,
                                    poly_divmod, poly_ext_gcd, poly_gcd, poly_sqrt,
                                    qpoly, rat_is_square, rational_roots)
 
-from oracles import fraction_horner, primitive_prs_gcd, sylvester_resultant
+from oracles import (fraction_horner, primitive_prs_gcd, rational_roots_by_candidates,
+                     sylvester_resultant)
 
 D1 = qpoly(1, 1) * qpoly(1, 5, 6, -6, -31, -27)
 Q1 = qpoly(1, 5, 6, -6, -31, -27)  # the squarefree quintic factor
@@ -231,6 +232,30 @@ class TestRationalRoots:
             if trial % 3:
                 content = -content  # a negative leading coefficient
             assert rational_roots(p * content) == roots
+
+
+    def test_agrees_with_unfiltered_candidates(self):
+        """Against every candidate tested exactly, past the mod-11 filter: roots a/b
+        with 11 | b, and roots with 11 not dividing b in every residue a * b^-1 mod 11."""
+        rng = random.Random(61)
+        denominators = (1, 2, 3, 4, 5, 7, 9, 11, 13, 22, 33, 121, 242)
+        quadratic = qpoly(-5, 0, 3)  # 3x^2 - 5: irreducible over Q
+        residues, eleven_divides = set(), 0
+        for _ in range(150):
+            p, roots = quadratic, set()
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.randint(-15, 15), rng.choice(denominators)
+                p = p * qpoly(-a, b)  # b x - a
+                root = Fraction(a, b)
+                roots.add(root)
+                if root.denominator % 11:
+                    residues.add(root.numerator * pow(root.denominator, -1, 11) % 11)
+                else:
+                    eleven_divides += 1
+            p = p * Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+            assert rational_roots(p) == roots == rational_roots_by_candidates(p.coeffs)
+        assert residues == set(range(11))
+        assert eleven_divides >= 20
 
 
 class TestEnumerateRationals:
