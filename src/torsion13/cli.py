@@ -43,6 +43,9 @@ SEARCH_HEIGHT_CAP = 750
 SWEEP_HEIGHT_CAP = 36
 # the fingerprint tests every prime below the bound; its cost grows faster than the bound
 FINGERPRINT_BOUND_CAP = 10000
+# a rational --t or --value reaches rational_roots, whose trial division grows with
+# its height; at the cap on |numerator| and denominator a command takes under 0.2 s
+RATIONAL_HEIGHT_CAP = 10**6
 
 SIEVE_PRIMES = (3, 7, 11)
 JACOBIAN_PRIMES = (3, 5, 7, 11, 19, 23)
@@ -73,11 +76,6 @@ CLAIMS = {
     "sporadic.j_invariant_irrational": "the sporadic curve's j-invariant is not rational",
     "sporadic.fingerprint": "the fiber cubic above -4/13 splits mod p exactly like the field cubic at every tested prime",
 }
-
-# the assertions of sporadic.verify_sporadic, in its order
-SPORADIC_ASSERTIONS = ("minimal_polynomial_irreducible", "polynomial_discriminant",
-                       "curve_nonsingular", "origin_has_order_13",
-                       "j_invariant_irrational")
 
 
 def _check_x13_points():
@@ -219,16 +217,14 @@ def _check_jacobian_divisibility(primes):
     }
 
 
+def _sporadic_assertion(check):
+    passed, detail = check()
+    return (PASS if passed else FAIL), {"detail": detail}
+
+
 def _run_sporadic(sink: ReportSink, fingerprint_bound: int):
-    results = {}
-
-    def assertion(name):
-        if not results:  # the first assertion's check computes all five
-            results.update((r.name, r) for r in sporadic_mod.verify_sporadic())
-        return (PASS if results[name].passed else FAIL), {"detail": results[name].detail}
-
-    for name in SPORADIC_ASSERTIONS:
-        sink.run_check(f"sporadic.{name}", lambda n=name: assertion(n))
+    for name, check in sporadic_mod.verify_sporadic():
+        sink.run_check(f"sporadic.{name}", functools.partial(_sporadic_assertion, check))
 
     def fingerprint_check():
         fingerprint = sporadic_mod.fiber_field_evidence(fingerprint_bound)
@@ -267,9 +263,13 @@ def _run_verify_all(sink: ReportSink):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+    if max(abs(value.numerator), value.denominator) > RATIONAL_HEIGHT_CAP:
+        raise argparse.ArgumentTypeError(
+            f"|numerator| and denominator must be <= {RATIONAL_HEIGHT_CAP}, got {text}")
+    return value
 
 
 def _int_between(low: int, high: int | None = None):

@@ -40,29 +40,31 @@ INFINITY = CurvePoint(None, None)
 
 
 class WeierstrassCurve:
-    """Nonsingular long Weierstrass model with cached standard invariants."""
+    """Nonsingular long Weierstrass model: its coefficients and discriminant.
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6",
-                 "b2", "b4", "b6", "b8", "c4", "c6", "disc", "j")
+    The b-invariants and the discriminant follow the standard formulary
+    (Silverman, AEC, III.1); j is computed from them only when read.
+    """
+
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "disc")
 
     def __init__(self, a1, a2, a3, a4, a6):
         b2 = a1 * a1 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
         b8 = a1 * a1 * a6 + 4 * (a2 * a6) - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
-        c4 = b2 * b2 - 24 * b4
-        c6 = -(b2 * b2 * b2) + 36 * (b2 * b4) - 216 * b6
         disc = -(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
         if not disc:
             raise SingularCurveError("discriminant is zero")
-        j = c4 * c4 * c4 / disc
-        for name, value in (("a1", a1), ("a2", a2), ("a3", a3), ("a4", a4), ("a6", a6),
-                            ("b2", b2), ("b4", b4), ("b6", b6), ("b8", b8),
-                            ("c4", c4), ("c6", c6), ("disc", disc), ("j", j)):
+        for name, value in zip(self.__slots__, (a1, a2, a3, a4, a6, disc)):
             object.__setattr__(self, name, value)
-        # standard formulary identities, cheap enough to assert outright
-        assert 4 * b8 == b2 * b6 - b4 * b4
-        assert 1728 * disc == c4 * c4 * c4 - c6 * c6
+
+    @property
+    def j(self):
+        """The j-invariant c4^3 / disc."""
+        b2 = self.a1 * self.a1 + 4 * self.a2
+        c4 = b2 * b2 - 24 * (2 * self.a4 + self.a1 * self.a3)
+        return c4 * c4 * c4 / self.disc
 
     def __setattr__(self, name, value):
         raise AttributeError("WeierstrassCurve is immutable")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import point_order, tate_curve, tate_origin
+from .elliptic import SingularCurveError, point_order, tate_curve, tate_origin
 from .fields import NumberField, splitting_fingerprint
 from .polynomials import (Polynomial, discriminant_cubic, qpoly, rat_is_square,
                           rational_roots)
@@ -32,35 +32,48 @@ B_COORDS = (Fraction(-1936, 19773), Fraction(90, 19773), Fraction(10, 19773))
 C_COORDS = (Fraction(-208, 1521), Fraction(50, 1521), Fraction(6, 1521))
 
 
-def sporadic_field() -> NumberField:
-    return NumberField(SPORADIC_MIN_POLY)
-
-
-def sporadic_parameters(field: NumberField):
-    """The Tate parameters (b, c) as elements of the field."""
-    return field(*B_COORDS), field(*C_COORDS)
-
-
 def sporadic_curve():
     """The field, the curve, and its distinguished point (0, 0)."""
-    field = sporadic_field()
-    b, c = sporadic_parameters(field)
-    curve = tate_curve(b, c)
+    field = NumberField(SPORADIC_MIN_POLY)
+    curve = tate_curve(field(*B_COORDS), field(*C_COORDS))
     return field, curve, tate_origin(curve)
 
 
-@dataclass(frozen=True)
-class AssertionResult:
-    name: str
-    passed: bool
-    detail: str
+def _minimal_polynomial_irreducible():
+    roots = rational_roots(SPORADIC_MIN_POLY)
+    return not roots, f"rational roots: {sorted(roots) if roots else 'none'}"
 
-    def to_json(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+
+def _polynomial_discriminant():
+    disc = discriminant_cubic(*reversed(SPORADIC_MIN_POLY.coeffs))
+    index_sq, index_root = rat_is_square(Fraction(disc, 247**2))
+    return (disc == 2196324 == 1482**2 and index_sq and index_root == 6,
+            f"disc = {disc}, disc/247^2 = {Fraction(disc, 247 ** 2)}")
+
+
+def _curve_nonsingular():
+    try:
+        sporadic_curve()
+    except SingularCurveError as exc:
+        return False, str(exc)
+    return True, "discriminant is nonzero"
+
+
+def _origin_has_order_13():
+    _, curve, origin = sporadic_curve()
+    order = point_order(curve, origin, 20)
+    return order == 13, f"order = {order}"
+
+
+def _j_invariant_irrational():
+    j = sporadic_curve()[1].j
+    return not j.is_rational(), f"j coordinates = {j.coords}"
 
 
 def verify_sporadic():
-    """Run the verifiable properties of the sporadic datum, in order.
+    """The verifiable properties of the sporadic datum, in order, as
+    (name, check) pairs.  Each check computes its own property and returns
+    (passed, detail).
 
     1. the defining cubic has no rational root (irreducible);
     2. its discriminant is 1482^2, and 1482^2 / 247^2 = 36 is a square
@@ -69,36 +82,11 @@ def verify_sporadic():
     4. (0,0) has order exactly 13;
     5. j of the curve is irrational, so the curve is not defined over Q.
     """
-    results = []
-
-    roots = rational_roots(SPORADIC_MIN_POLY)
-    results.append(AssertionResult(
-        "minimal_polynomial_irreducible", not roots,
-        f"rational roots: {sorted(roots) if roots else 'none'}"))
-
-    disc = discriminant_cubic(*reversed(SPORADIC_MIN_POLY.coeffs))
-    disc_ok = disc == 2196324 == 1482**2
-    index_sq, index_root = rat_is_square(Fraction(disc, 247**2))
-    results.append(AssertionResult(
-        "polynomial_discriminant", disc_ok and index_sq and index_root == 6,
-        f"disc = {disc}, disc/247^2 = {Fraction(disc, 247 ** 2)}"))
-
-    try:
-        field, curve, origin = sporadic_curve()
-        results.append(AssertionResult("curve_nonsingular", True,
-                                       "discriminant is nonzero"))
-    except ValueError as exc:
-        results.append(AssertionResult("curve_nonsingular", False, str(exc)))
-        return results
-
-    order = point_order(curve, origin, 20)
-    results.append(AssertionResult("origin_has_order_13", order == 13,
-                                   f"order = {order}"))
-
-    j = curve.j
-    results.append(AssertionResult("j_invariant_irrational", not j.is_rational(),
-                                   f"j coordinates = {j.coords}"))
-    return results
+    return (("minimal_polynomial_irreducible", _minimal_polynomial_irreducible),
+            ("polynomial_discriminant", _polynomial_discriminant),
+            ("curve_nonsingular", _curve_nonsingular),
+            ("origin_has_order_13", _origin_has_order_13),
+            ("j_invariant_irrational", _j_invariant_irrational))
 
 
 def monic_integral_cubic(p: Polynomial) -> Polynomial:
@@ -150,6 +138,11 @@ class FingerprintReport:
         }
 
 
+def _first_disagreement(fp_a: dict, fp_b: dict) -> int | None:
+    """The least prime in both fingerprints at which their root counts differ."""
+    return next((p for p in sorted(set(fp_a) & set(fp_b)) if fp_a[p] != fp_b[p]), None)
+
+
 def fiber_field_evidence(bound: int = 1000) -> FingerprintReport:
     """Compare mod-p splitting of the -4/13 fiber cubic with the field cubic.
 
@@ -169,29 +162,16 @@ def fiber_field_evidence(bound: int = 1000) -> FingerprintReport:
 
     fp_fiber = splitting_fingerprint(fiber, bound)
     fp_field = splitting_fingerprint(SPORADIC_MIN_POLY, bound)
-    common = sorted(set(fp_fiber) & set(fp_field))
-    first_disagreement = None
-    for p in common:
-        if fp_fiber[p] != fp_field[p]:
-            first_disagreement = p
-            break
-
-    contrast_bound = 100
-    contrast_first = None
-    while contrast_first is None and contrast_bound <= bound:
-        fp_contrast = splitting_fingerprint(CONTRAST_CUBIC, contrast_bound)
-        for p in sorted(set(fp_contrast) & set(fp_field)):
-            if fp_contrast[p] != fp_field[p]:
-                contrast_first = p
-                break
-        if contrast_first is None:
-            contrast_bound *= 2
+    first_disagreement = _first_disagreement(fp_fiber, fp_field)
+    # the contrast first disagrees at p = 5, so primes up to 100 suffice
+    contrast_first = _first_disagreement(
+        splitting_fingerprint(CONTRAST_CUBIC, min(bound, 100)), fp_field)
     return FingerprintReport(
         bound=bound,
         fiber_cubic=fiber,
         fiber_disc_square=fiber_sq,
         field_disc_square=field_sq,
-        compared_primes=len(common),
+        compared_primes=len(set(fp_fiber) & set(fp_field)),
         fingerprints_agree=first_disagreement is None,
         first_disagreement=first_disagreement,
         contrast_first_disagreement=contrast_first,

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import re
 import time
 
 import pytest
 
-from torsion13 import cli, family, x13
+from torsion13 import cli, elliptic, family, sporadic, x13
 from torsion13.cli import main
 
 
@@ -143,19 +144,51 @@ class TestFamily:
 
 class TestSporadic:
     def test_verify_emits_one_report_per_assertion(self, capsys):
-        code, out, err = run_cli(capsys, "sporadic", "verify",
-                                 "--fingerprint-bound", "100")
-        assert code == 0
-        lines = json_lines(out)
-        ids = [l["check_id"] for l in lines]
-        assert "sporadic.origin_has_order_13" in ids
-        assert "sporadic.fingerprint" in ids
-        fingerprint = [l for l in lines if l["check_id"] == "sporadic.fingerprint"][0]
-        assert fingerprint["status"] == "evidence"
+        for bound in ("50", "99", "100"):  # every accepted bound gives evidence
+            code, out, err = run_cli(capsys, "sporadic", "verify",
+                                     "--fingerprint-bound", bound)
+            assert code == 0, bound
+            lines = json_lines(out)
+            ids = [l["check_id"] for l in lines]
+            assert "sporadic.origin_has_order_13" in ids
+            assert "sporadic.fingerprint" in ids
+            fingerprint = [l for l in lines if l["check_id"] == "sporadic.fingerprint"][0]
+            assert fingerprint["status"] == "evidence"
 
     def test_claim_refs_nonempty(self, capsys):
         _, out, _ = run_cli(capsys, "sporadic", "verify", "--fingerprint-bound", "60")
         assert all(l["claim_ref"] for l in json_lines(out))
+
+    def test_each_assertion_times_its_own_work(self, capsys, monkeypatch):
+        order = sporadic.point_order
+
+        def slow_order(*args):
+            time.sleep(0.05)
+            return order(*args)
+
+        monkeypatch.setattr(sporadic, "point_order", slow_order)
+        _, out, _ = run_cli(capsys, "sporadic", "verify", "--fingerprint-bound", "100")
+        elapsed = {l["check_id"]: l["elapsed_ms"] for l in json_lines(out)}
+        assert elapsed["sporadic.origin_has_order_13"] >= 50
+        assert elapsed["sporadic.minimal_polynomial_irreducible"] < 50
+
+    def test_singular_curve_fails_the_checks_that_read_it(self, capsys, monkeypatch):
+        # b = 0 and c = 1 give y^2 = x^3
+        monkeypatch.setattr(sporadic, "tate_curve",
+                            lambda b, c: elliptic.tate_curve(b - b, c - c + 1))
+        code, out, err = run_cli(capsys, "sporadic", "verify",
+                                 "--fingerprint-bound", "100")
+        assert code == 1
+        assert "Traceback" not in err
+        reports = {l["check_id"]: l for l in json_lines(out)}
+        nonsingular = reports["sporadic.curve_nonsingular"]
+        assert nonsingular["status"] == "fail"
+        assert nonsingular["details"] == {"detail": "discriminant is zero"}
+        for name in ("origin_has_order_13", "j_invariant_irrational"):
+            report = reports[f"sporadic.{name}"]
+            assert report["status"] == "fail"
+            assert report["details"]["error"].startswith("SingularCurveError")
+            assert report["details"]["where"].startswith("elliptic.py:")
 
 
 def counting_search(monkeypatch, fail_on=None):
@@ -258,14 +291,34 @@ class TestHarness:
          "--fingerprint-bound: must be >= 50"),
         (["sporadic", "verify", "--fingerprint-bound", "10001"],
          "--fingerprint-bound: must be <= 10000"),
+        (["family", "verify", "--t", str(cli.RATIONAL_HEIGHT_CAP + 1)],
+         f"--t: |numerator| and denominator must be <= {cli.RATIONAL_HEIGHT_CAP}"),
+        (["family", "verify", "--t", "1000000007"],
+         f"--t: |numerator| and denominator must be <= {cli.RATIONAL_HEIGHT_CAP}"),
+        (["fiber", "classify", "--map", "y", "--value",
+          f"-1/{cli.RATIONAL_HEIGHT_CAP + 1}"],
+         f"--value: |numerator| and denominator must be <= {cli.RATIONAL_HEIGHT_CAP}"),
+        (["fiber", "classify", "--map", "y", "--value", "10000000000000061"],
+         f"--value: |numerator| and denominator must be <= {cli.RATIONAL_HEIGHT_CAP}"),
     ], ids=["search-0", "search-negative", "sweep-0", "search-cap+1", "sweep-cap+1",
             "count-1009", "count-2^31-1",
-            "fingerprint-49", "fingerprint-10001"])
+            "fingerprint-49", "fingerprint-10001",
+            "t-cap+1", "t-1000000007", "value-denominator-cap+1", "value-10^16"])
     def test_out_of_range_bound_exits_2_before_any_work(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "verify", "--t", str(cli.RATIONAL_HEIGHT_CAP)],
+        ["family", "verify", "--t", f"-999983/{cli.RATIONAL_HEIGHT_CAP}"],
+        ["fiber", "classify", "--map", "t", "--value", f"{cli.RATIONAL_HEIGHT_CAP}/999983"],
+    ], ids=["t-cap", "t-prime/cap", "value-cap/prime"])
+    def test_rational_at_the_height_cap_is_accepted(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json_lines(out)[-1]["status"] == "pass"
 
     def test_json_only_suppresses_stderr(self, capsys):
         _, _, err = run_cli(capsys, "count", "--curve", "x", "--p", "3", "--json-only")
@@ -290,3 +343,19 @@ class TestHarness:
         first = normalized(["search", "--curve", "d1", "--height", "30"])
         second = normalized(["search", "--curve", "d1", "--height", "30"])
         assert first == second
+
+
+class TestFrozenOutput:
+    """Stdout is byte-identical from change to change apart from elapsed_ms."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["verify-all", "--json-only"],
+         "e5731854f8d850d8200538e73a468c1dcdc0b9d751c51f0d6ca3ef9deb22f107"),
+        (["family", "verify", "--t", "3/5", "--json-only"],
+         "979cd12aa7ce88d1de2ad40cccce03daf0b03ce36eb229ae9a67a580f6bfc7cc"),
+    ], ids=["verify-all", "family-verify-3/5"])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        frozen = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+        assert hashlib.sha256(frozen.encode()).hexdigest() == digest

@@ -41,6 +41,8 @@ def rational_arg(value: Fraction) -> str:
 
 @CONTRACT
 @given(t=NONZERO_RATIONALS, json_only=st.booleans())
+@example(t=Fraction(-999983, 10**6), json_only=False)  # at the height cap
+@example(t=Fraction(10**6 + 1), json_only=True)  # past the cap: refused with exit 2
 def test_family_verify(t, json_only):
     assert_contract(["family", "verify", "--t", rational_arg(t)]
                     + ["--json-only"] * json_only)
@@ -49,6 +51,8 @@ def test_family_verify(t, json_only):
 @CONTRACT
 @given(fiber_map=st.sampled_from(["y", "t"]), value=NONZERO_RATIONALS,
        json_only=st.booleans())
+@example(fiber_map="t", value=Fraction(10**6, 999983), json_only=False)  # at the height cap
+@example(fiber_map="y", value=Fraction(-1, 10**6 + 1), json_only=True)  # past the cap
 def test_fiber_classify(fiber_map, value, json_only):
     assert_contract(["fiber", "classify", "--map", fiber_map, "--value", rational_arg(value)]
                     + ["--json-only"] * json_only)

@@ -19,6 +19,19 @@ def qcurve(a1=0, a2=0, a3=0, a4=0, a6=0):
     return WeierstrassCurve(*(Fraction(v) for v in (a1, a2, a3, a4, a6)))
 
 
+def formulary(curve):
+    """(b2, b4, b6, b8, c4, c6, disc) from the coefficients (Silverman, AEC, III.1)."""
+    a1, a2, a3, a4, a6 = curve.coefficients()
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+    c4 = b2**2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, disc
+
+
 def as_pair(point):
     """A CurvePoint in the oracle's form: (x, y), or None for infinity."""
     return None if point.is_infinity else (point.x, point.y)
@@ -43,20 +56,15 @@ class TestInvariants:
 
     def test_formulary_identities(self):
         for c in (qcurve(a6=1), qcurve(a4=1), qcurve(1, 2, 3, 4, 5)):
-            b2, b4, b6, b8, c4, c6, disc, j = (c.b2, c.b4, c.b6, c.b8,
-                                               c.c4, c.c6, c.disc, c.j)
+            b2, b4, b6, b8, c4, c6, disc = formulary(c)
             assert 4 * b8 == b2 * b6 - b4 * b4
             assert 1728 * disc == c4**3 - c6**2
-            assert j * disc == c4**3
+            assert c.disc == disc
+            assert c.j * disc == c4**3
 
     def test_sporadic_curve_invariants_from_independent_formulary(self):
         field, curve, _ = sporadic_curve()
-        a1, a2, a3, a4, a6 = curve.coefficients()
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
-        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+        disc = formulary(curve)[-1]
         assert disc == curve.disc
         assert bool(disc)
         assert not curve.j.is_rational()
