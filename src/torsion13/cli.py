@@ -19,7 +19,7 @@ from . import x13
 from .fields import PrimeField
 from .hyperelliptic import (count_points, is_smooth_mod_p, mod_p_residues,
                             points_mod_p, search_rational_points)
-from .polynomials import enumerate_rationals, frac_str
+from .polynomials import enumerate_rationals
 from .reports import EVIDENCE, FAIL, PASS, ReportSink
 
 # lets bare negative rationals like -4/13 pass as option values
@@ -83,16 +83,16 @@ def _check_x13_points():
     infinity = x13.X13_MODEL.points_at_infinity()
     ok = not bad and len(infinity) == 2
     return (PASS if ok else FAIL), {
-        "points": [pt.to_json() for pt in x13.X13_RATIONAL_POINTS],
+        "points": x13.X13_RATIONAL_POINTS,
         "points_at_infinity": len(infinity),
-        "violations": [pt.to_json() for pt in bad],
+        "violations": bad,
     }
 
 
 def _check_w_disc():
     ok = family_mod.verify_w_disc_identity()
     return (PASS if ok else FAIL), {
-        "target": family_mod.w_cubic_discriminant_target().to_json(),
+        "target": family_mod.w_cubic_discriminant_target(),
     }
 
 
@@ -108,7 +108,7 @@ def _check_family_sweep(height: int, emit=lambda line: None):
         checked += 1
         emit(_family_details(instance, outcome))
         if not outcome.passed:
-            failures.append(outcome.to_json())
+            failures.append(outcome)
     return (PASS if not failures else FAIL), {
         "height": height,
         "parameters_checked": checked,
@@ -118,10 +118,10 @@ def _check_family_sweep(height: int, emit=lambda line: None):
 
 def _family_details(instance, outcome) -> dict:
     return {
-        "t": frac_str(instance.t),
-        "A": frac_str(instance.a_value),
-        "B": frac_str(instance.b_value),
-        "disc": frac_str(instance.disc_w),
+        "t": instance.t,
+        "A": instance.a_value,
+        "B": instance.b_value,
+        "disc": instance.disc_w,
         "disc_is_square": outcome.disc_is_square,
         "order": outcome.order,
         "status": instance.status,
@@ -135,16 +135,16 @@ def _check_family_instance(t: Fraction):
 
 
 def _check_fiber_classify(fiber_map: x13.FiberMap, value: Fraction, emit):
-    details = x13.classify_fiber(fiber_map, value).to_json()
-    emit(details)
-    return PASS, details
+    classification = x13.classify_fiber(fiber_map, value)
+    emit(classification)
+    return PASS, classification
 
 
 def _check_search(curve: str, height: int, emit):
     """One line per found point, then a report with the count."""
     points = search_rational_points(MODELS[curve], height)
     for pt in points:
-        emit(pt.to_json())
+        emit(pt)
     return PASS, {"curve": curve, "height": height, "count": len(points)}
 
 
@@ -153,7 +153,7 @@ def _check_expected_search(curve: str, height: int, points, expect: int):
         "curve": curve,
         "height": height,
         "count": len(points),
-        "points": [pt.to_json() for pt in points],
+        "points": points,
         "expected_count": expect,
     }
 
@@ -232,7 +232,7 @@ def _run_sporadic(sink: ReportSink, fingerprint_bound: int):
                  and fingerprint.fiber_disc_square
                  and fingerprint.field_disc_square
                  and fingerprint.contrast_first_disagreement is not None)
-        return (EVIDENCE if sound else FAIL), fingerprint.to_json()
+        return (EVIDENCE if sound else FAIL), fingerprint
 
     sink.run_check("sporadic.fingerprint", fingerprint_check)
 
@@ -250,7 +250,7 @@ def _run_verify_all(sink: ReportSink):
     sink.run_check("family.sweep", lambda: _check_family_sweep(5))
     for fiber_map in x13.FiberMap:  # fiber.disc.y, then fiber.disc.t
         sink.run_check(f"fiber.disc.{fiber_map.value}",
-                       lambda m=fiber_map: (PASS, x13.verify_disc_identity(m).to_json()))
+                       lambda m=fiber_map: (PASS, x13.verify_disc_identity(m)))
     sink.run_check("search.d1.expected", search_d1)
     sink.run_check("sieve.d1", lambda: _check_d1_sieve(d1_points, 100))
     sink.run_check("search.d2.expected", lambda: _check_expected_search(
@@ -272,6 +272,13 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
+def _nonzero_fraction(text: str) -> Fraction:
+    value = _fraction(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be nonzero")
+    return value
+
+
 def _int_between(low: int, high: int | None = None):
     """argparse type for an integer in [low, high], so bad bounds exit 2 at parse time."""
     def parse(text: str) -> int:
@@ -285,6 +292,15 @@ def _int_between(low: int, high: int | None = None):
             raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return parse
+
+
+def _prime(text: str) -> int:
+    """argparse type for a prime p <= COUNT_P_CAP."""
+    p = _int_between(2, COUNT_P_CAP)(text)
+    try:
+        return PrimeField(p).p
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 @functools.cache
@@ -305,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     family_sub = p_family.add_subparsers(dest="verb", required=True)
     p_fverify = family_sub.add_parser("verify", parents=[common])
     p_fverify._negative_number_matcher = _NEGATIVE_RATIONAL
-    p_fverify.add_argument("--t", type=_fraction, required=True,
+    p_fverify.add_argument("--t", type=_nonzero_fraction, required=True,
                            help='parameter value as "p/q"')
     p_fsweep = family_sub.add_parser("sweep", parents=[common])
     p_fsweep.add_argument("--height", type=_int_between(1, SWEEP_HEIGHT_CAP), default=5)
@@ -323,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", parents=[common], help="point count mod p")
     p_count.add_argument("--curve", choices=sorted(MODELS), required=True)
-    p_count.add_argument("--p", type=_int_between(2, COUNT_P_CAP), required=True,
+    p_count.add_argument("--p", type=_prime, required=True,
                          help=f"a prime <= {COUNT_P_CAP}")
 
     p_sporadic = sub.add_parser("sporadic", parents=[common], help="the sporadic curve")
@@ -342,9 +358,6 @@ def main(argv=None) -> int:
     if args.command == "verify-all":
         _run_verify_all(sink)
     elif args.command == "family" and args.verb == "verify":
-        if args.t == 0:
-            print("parameter t must be nonzero", file=sys.stderr)
-            return 2
         sink.run_check("family.instance", lambda: _check_family_instance(args.t))
     elif args.command == "family":
         sink.run_check("family.sweep",
@@ -356,11 +369,6 @@ def main(argv=None) -> int:
         sink.run_check(f"search.{args.curve}",
                        lambda: _check_search(args.curve, args.height, sink.emit_raw))
     elif args.command == "count":
-        try:
-            PrimeField(args.p)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         sink.run_check("count", lambda: _check_count(args.curve, args.p))
     elif args.command == "sporadic":
         _run_sporadic(sink, args.fingerprint_bound)

@@ -30,8 +30,8 @@ from fractions import Fraction
 from .elliptic import (CurvePoint, PointNotOnCurveError, WeierstrassCurve,
                        point_order)
 from .fields import NumberField
-from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,
-                          frac_str, qpoly, rat_is_square)
+from .polynomials import (Polynomial, RationalFunction, discriminant_cubic, qpoly,
+                          rat_is_square)
 
 DENOMINATOR_QUARTIC = qpoly(1, 1, 5, -1, 1)
 
@@ -134,17 +134,6 @@ class FamilyVerification:
     disc_nonzero: bool
     passed: bool
     failures: tuple
-
-    def to_json(self):
-        return {
-            "t": frac_str(self.t),
-            "on_curve": self.on_curve,
-            "order": self.order,
-            "disc_is_square": self.disc_is_square,
-            "disc_nonzero": self.disc_nonzero,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
 
 
 def verify_family_instance(instance: FamilyInstance) -> FamilyVerification:

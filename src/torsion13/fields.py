@@ -368,7 +368,9 @@ class NumberField(Field):
             if c0.field != self:
                 raise ValueError("element from a different number field")
             return c0
-        return NumberFieldElement(self, c0, c1, c2)
+        c = (Fraction(c0), Fraction(c1), Fraction(c2))
+        den = lcm(c[0].denominator, c[1].denominator, c[2].denominator)
+        return _element(self, *(ci.numerator * (den // ci.denominator) for ci in c), den)
 
     def generator(self) -> NumberFieldElement:
         return self(0, 1)
@@ -407,15 +409,6 @@ class NumberFieldElement(FieldElement):
     """
 
     __slots__ = ("field", "_num", "_den")
-
-    def __init__(self, field: NumberField, c0, c1, c2):
-        c = (Fraction(c0), Fraction(c1), Fraction(c2))
-        # each Fraction is in lowest terms, so numerators over the lcm are too
-        den = lcm(c[0].denominator, c[1].denominator, c[2].denominator)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_num", tuple(ci.numerator * (den // ci.denominator)
-                                               for ci in c))
-        object.__setattr__(self, "_den", den)
 
     @property
     def coords(self) -> tuple:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import BadReductionError, PrimeField, build_quadratic_extension
-from .polynomials import Polynomial, enumerate_rationals, frac_str, poly_gcd, rat_is_square
+from .polynomials import Polynomial, enumerate_rationals, poly_gcd, rat_is_square
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,6 @@ class ModelPoint:
     chart: str
     u: Fraction
     v: Fraction
-
-    def to_json(self):
-        return {
-            "u": "inf" if self.chart == "infinity" else frac_str(self.u),
-            "v": frac_str(self.v),
-            "chart": self.chart,
-        }
 
 
 class HyperellipticModel:

@@ -9,12 +9,11 @@ Coefficients may be Fractions, ints, finite-field elements, number-field
 elements, or Polynomials themselves, as long as they support ring
 arithmetic and truthiness (zero is falsy).  Operations that divide
 (divmod, gcd) additionally need field coefficients.
-Rational-specific helpers (rational_roots, poly_sqrt, serialization)
-expect Fraction coefficients; qpoly() builds those conveniently.
+Rational-specific helpers (rational_roots, poly_sqrt) expect Fraction
+coefficients; qpoly() builds those conveniently.
 A polynomial over Q builds its integer form (primitive integer
 coefficients and one rational scale) on first use; evaluation at a
 Fraction and rational_roots both read it, through one binary-form kernel.
-frac_str() is the one "num/den" serializer every JSON form uses.
 """
 
 from __future__ import annotations
@@ -24,12 +23,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 NEG_INFINITY = float("-inf")
-
-
-def frac_str(x) -> str:
-    """A rational as the exact JSON string "num/den" (denominator 1 included)."""
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _invert(c):
@@ -216,10 +209,6 @@ class Polynomial:
             else:
                 parts.append(f"{c}*x^{i}")
         return " + ".join(parts)
-
-    def to_json(self):
-        """Serialize as a list of "num/den" strings, constant term first."""
-        return [frac_str(c) for c in self.coeffs]
 
 
 def qpoly(*coeffs) -> Polynomial:

@@ -4,6 +4,12 @@ status is "pass" or "fail" for decidable checks and "evidence" for checks
 that support a claim without proving it (fingerprints, mod-p sieves).
 Any "fail" must surface as a nonzero process exit code.  elapsed_ms is the
 only field excluded from the byte-for-byte determinism guarantee.
+
+This module alone writes JSON, through one json.dumps default hook: a
+rational is the exact string "num/den" (denominator 1 included), a
+polynomial the list of its coefficients (constant term first), a model
+point on the infinity chart has u = "inf", an enum is its value and any
+dataclass its fields by name.
 """
 
 from __future__ import annotations
@@ -12,7 +18,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+from fractions import Fraction
+
+from .hyperelliptic import ModelPoint
+from .polynomials import Polynomial
 
 PASS = "pass"
 FAIL = "fail"
@@ -24,18 +35,23 @@ class VerificationReport:
     check_id: str
     status: str
     claim_ref: str
-    details: dict
+    details: object  # a dict or a dataclass
     elapsed_ms: int = 0
 
-    def to_json_line(self) -> str:
-        payload = {
-            "check_id": self.check_id,
-            "status": self.status,
-            "claim_ref": self.claim_ref,
-            "details": self.details,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        return json.dumps(payload, sort_keys=True)
+
+def _wire(value):
+    """The JSON form of a value that json does not know; json.dumps recurses into it."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, Polynomial):
+        return [Fraction(c) for c in value.coeffs]
+    if isinstance(value, ModelPoint) and value.chart == "infinity":
+        return {"u": "inf", "v": value.v, "chart": value.chart}
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    raise TypeError(f"{type(value).__name__} has no JSON form")
 
 
 class ReportSink:
@@ -53,14 +69,14 @@ class ReportSink:
 
     def emit(self, report: VerificationReport):
         self.reports.append(report)
-        print(report.to_json_line())
+        print(json.dumps(report, sort_keys=True, default=_wire))
         if not self.json_only:
             print(f"[{report.status.upper():8s}] {report.check_id}: {report.claim_ref}",
                   file=sys.stderr)
 
-    def emit_raw(self, payload: dict):
+    def emit_raw(self, payload):
         """A non-report JSON line, e.g. one object per found search point."""
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, default=_wire))
 
     def run_check(self, check_id: str, fn):
         """Time a check returning (status, details) and emit the report.

@@ -125,18 +125,6 @@ class FingerprintReport:
     first_disagreement: int | None
     contrast_first_disagreement: int | None
 
-    def to_json(self):
-        return {
-            "bound": self.bound,
-            "fiber_cubic": self.fiber_cubic.to_json(),
-            "fiber_disc_square": self.fiber_disc_square,
-            "field_disc_square": self.field_disc_square,
-            "compared_primes": self.compared_primes,
-            "fingerprints_agree": self.fingerprints_agree,
-            "first_disagreement": self.first_disagreement,
-            "contrast_first_disagreement": self.contrast_first_disagreement,
-        }
-
 
 def _first_disagreement(fp_a: dict, fp_b: dict) -> int | None:
     """The least prime in both fingerprints at which their root counts differ."""

@@ -20,7 +20,7 @@ from math import lcm
 
 from .hyperelliptic import HyperellipticModel, ModelPoint, jacobian_order_fp
 from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,
-                          frac_str, poly_sqrt, qpoly, rat_is_square, rational_roots)
+                          poly_sqrt, qpoly, rat_is_square, rational_roots)
 
 # model of X: h = x^3 + x^2 + 1, f = x^2 + x
 X13_MODEL = HyperellipticModel(f=qpoly(0, 1, 1), h=qpoly(1, 0, 1, 1))
@@ -79,18 +79,6 @@ class FiberClassification:
     discriminant: Fraction
     discriminant_is_square: bool
     includes_infinity: bool
-
-    def to_json(self):
-        return {
-            "map": self.map.value,
-            "value": frac_str(self.value),
-            "kind": self.kind.value,
-            "cubic": self.cubic.to_json(),
-            "rational_roots": [frac_str(r) for r in self.rational_roots],
-            "discriminant": frac_str(self.discriminant),
-            "discriminant_is_square": self.discriminant_is_square,
-            "includes_infinity": self.includes_infinity,
-        }
 
 
 def _clear_denominators(p: Polynomial) -> Polynomial:
@@ -163,23 +151,13 @@ class DiscIdentityReport:
     """Outcome of checking disc_x(fiber polynomial) against the stored locus."""
 
     map: FiberMap
-    computed: Polynomial
-    stored: Polynomial
-    quotient: RationalFunction
-    quotient_sqrt: RationalFunction
+    computed_discriminant: Polynomial
+    stored_locus: Polynomial
+    quotient_numerator: Polynomial
+    quotient_denominator: Polynomial
+    sqrt_numerator: Polynomial
+    sqrt_denominator: Polynomial
     exact_match: bool
-
-    def to_json(self):
-        return {
-            "map": self.map.value,
-            "computed_discriminant": self.computed.to_json(),
-            "stored_locus": self.stored.to_json(),
-            "quotient_numerator": self.quotient.numerator.to_json(),
-            "quotient_denominator": self.quotient.denominator.to_json(),
-            "sqrt_numerator": self.quotient_sqrt.numerator.to_json(),
-            "sqrt_denominator": self.quotient_sqrt.denominator.to_json(),
-            "exact_match": self.exact_match,
-        }
 
 
 def verify_disc_identity(fiber_map: FiberMap) -> DiscIdentityReport:
@@ -199,8 +177,8 @@ def verify_disc_identity(fiber_map: FiberMap) -> DiscIdentityReport:
             f"discriminant locus mismatch for map {fiber_map.value}: "
             f"quotient {quotient} is not a square")
     exact = quotient.numerator == quotient.denominator == qpoly(1)
-    return DiscIdentityReport(fiber_map, disc, stored, quotient,
-                              RationalFunction(sqrt_num, sqrt_den), exact)
+    return DiscIdentityReport(fiber_map, disc, stored, quotient.numerator,
+                              quotient.denominator, sqrt_num, sqrt_den, exact)
 
 
 def nineteen_divisibility(primes) -> dict:

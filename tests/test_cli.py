@@ -72,9 +72,10 @@ class TestCount:
         assert report["status"] == "fail"
 
     def test_non_prime_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--curve", "d2min", "--p", "4")
-        assert code == 2
-        assert "not prime" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--curve", "d2min", "--p", "4"])
+        assert exc.value.code == 2
+        assert "--p: modulus 4 is not prime" in capsys.readouterr().err
 
 
 class TestFiber:
@@ -115,8 +116,10 @@ class TestFamily:
         assert json_lines(out)[-1]["details"]["order"] == 13
 
     def test_zero_t_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "family", "verify", "--t", "0")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "verify", "--t", "0"])
+        assert exc.value.code == 2
+        assert "--t: must be nonzero" in capsys.readouterr().err
 
     def test_sweep(self, capsys, monkeypatch):
         calls = []
@@ -348,14 +351,39 @@ class TestHarness:
 class TestFrozenOutput:
     """Stdout is byte-identical from change to change apart from elapsed_ms."""
 
+    @staticmethod
+    def digest(out):
+        frozen = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+        return hashlib.sha256(frozen.encode()).hexdigest()
+
     @pytest.mark.parametrize("argv, digest", [
         (["verify-all", "--json-only"],
          "e5731854f8d850d8200538e73a468c1dcdc0b9d751c51f0d6ca3ef9deb22f107"),
         (["family", "verify", "--t", "3/5", "--json-only"],
          "979cd12aa7ce88d1de2ad40cccce03daf0b03ce36eb229ae9a67a580f6bfc7cc"),
-    ], ids=["verify-all", "family-verify-3/5"])
+        (["fiber", "classify", "--map", "y", "--value", "-4/13", "--json-only"],
+         "400909ad1b81fe8631eaa5d43b0dffa845b0657fffa7f7a2b786b82205ebb74d"),
+        (["fiber", "classify", "--map", "t", "--value", "0", "--json-only"],
+         "510a6883e41b11dd8e1fe9bf93547eacb3442103899828f29f80ccf8ee16f740"),
+        (["search", "--curve", "x", "--height", "5", "--json-only"],
+         "ec4e39816e559acd7539a7606408b691d90c0eb3a1c946547fa5354c143fb560"),
+        (["count", "--curve", "d2min", "--p", "2", "--json-only"],
+         "9ae91d4c20920b0ba8d3970d68f33095fce2ef52d797b6d42ec859d46d953cfb"),
+        (["family", "sweep", "--height", "2", "--json-only"],
+         "360fb0cfe4be642dc30a071e9fca4b9905f733303665c57c04b50fdb3e0c84a7"),
+        (["sporadic", "verify", "--fingerprint-bound", "100", "--json-only"],
+         "de789bdac6aa618d07eca84fe8874262ac20d1ecab9b96d1e71c1401fe9d25ae"),
+    ], ids=["verify-all", "family-verify-3/5", "fiber-y--4/13", "fiber-t-0",
+            "search-x-5", "count-d2min-2", "sweep-2", "sporadic-100"])
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        frozen = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
-        assert hashlib.sha256(frozen.encode()).hexdigest() == digest
+        assert self.digest(out) == digest
+
+    def test_failing_sweep_digest(self, capsys, monkeypatch):
+        """Pins the per-parameter failures entries of the sweep report."""
+        monkeypatch.setattr(family, "point_order", lambda *args, **kwargs: 12)
+        code, out, _ = run_cli(capsys, "family", "sweep", "--height", "2", "--json-only")
+        assert code == 1
+        assert self.digest(out) == (
+            "0b613ad2a3f2d268ae7c67ec8dc8c8e8ba0712dfd1e2932c4c25b7fe8c3bd5cb")

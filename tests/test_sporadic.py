@@ -102,7 +102,7 @@ class TestFingerprintEvidence:
         with pytest.raises(ValueError):
             fiber_field_evidence(10)
 
-    def test_report_json(self):
-        data = fiber_field_evidence(100).to_json()
+    def test_report_json(self, wire):
+        data = wire(fiber_field_evidence(100))
         assert data["fingerprints_agree"] is True
         assert data["fiber_cubic"] == ["97344/1", "8788/1", "221/1", "1/1"]

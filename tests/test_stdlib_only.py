@@ -1,4 +1,5 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, and one
+module of it writes JSON."""
 
 import ast
 import pathlib
@@ -22,3 +23,19 @@ def test_every_absolute_import_is_stdlib():
     outside = {(path.name, name) for path in SOURCES for name in absolute_imports(path)
                if name.partition(".")[0] not in sys.stdlib_module_names}
     assert not outside
+
+
+def test_only_reports_imports_json():
+    """One module writes the wire format."""
+    importers = {path.name for path in SOURCES for name in absolute_imports(path)
+                 if name.partition(".")[0] == "json"}
+    assert importers == {"reports.py"}
+
+
+def test_no_class_writes_its_own_json():
+    own = [(path.name, node.name) for path in SOURCES
+           for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+           if isinstance(node, ast.ClassDef)
+           and any(isinstance(item, ast.FunctionDef) and item.name == "to_json"
+                   for item in node.body)]
+    assert not own

@@ -111,8 +111,8 @@ class TestClassification:
         c = classify_fiber(FiberMap.Y, 1)
         assert c.kind in (FiberKind.NON_CYCLIC_CUBIC, FiberKind.SPLIT_RATIONAL)
 
-    def test_json_shape(self):
-        data = classify_fiber(FiberMap.Y, Fraction(-4, 13)).to_json()
+    def test_json_shape(self, wire):
+        data = wire(classify_fiber(FiberMap.Y, Fraction(-4, 13)))
         assert data["kind"] == "cyclic_cubic"
         assert data["map"] == "y"
         assert data["value"] == "-4/13"
@@ -122,16 +122,16 @@ class TestDiscIdentity:
     def test_y_map_exact(self):
         report = verify_disc_identity(FiberMap.Y)
         assert report.exact_match
-        assert report.computed == D1_POLY
-        assert report.quotient.numerator == qpoly(1)
-        assert report.quotient.denominator == qpoly(1)
+        assert report.computed_discriminant == D1_POLY
+        assert report.quotient_numerator == qpoly(1)
+        assert report.quotient_denominator == qpoly(1)
 
     def test_t_map_square_quotient(self):
         report = verify_disc_identity(FiberMap.T)
         assert not report.exact_match
-        assert report.quotient.numerator == qpoly(1)
-        assert report.quotient.denominator == qpoly(1, 2, 1)  # (t+1)^2
-        assert report.quotient_sqrt.denominator == qpoly(1, 1)
+        assert report.quotient_numerator == qpoly(1)
+        assert report.quotient_denominator == qpoly(1, 2, 1)  # (t+1)^2
+        assert report.sqrt_denominator == qpoly(1, 1)
 
     def test_symbolic_coefficients_specialize(self):
         for fmap in FiberMap:
