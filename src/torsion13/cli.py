@@ -134,10 +134,8 @@ def _check_family_instance(t: Fraction):
     return (PASS if outcome.passed else FAIL), _family_details(instance, outcome)
 
 
-def _check_fiber_classify(fiber_map: x13.FiberMap, value: Fraction, emit):
-    classification = x13.classify_fiber(fiber_map, value)
-    emit(classification)
-    return PASS, classification
+def _check_fiber_classify(fiber_map: x13.FiberMap, value: Fraction):
+    return PASS, x13.classify_fiber(fiber_map, value)
 
 
 def _check_search(curve: str, height: int, emit):
@@ -364,7 +362,7 @@ def main(argv=None) -> int:
                        lambda: _check_family_sweep(args.height, sink.emit_raw))
     elif args.command == "fiber":
         sink.run_check("fiber.classify", lambda: _check_fiber_classify(
-            x13.FiberMap(args.map), args.value, sink.emit_raw))
+            x13.FiberMap(args.map), args.value))
     elif args.command == "search":
         sink.run_check(f"search.{args.curve}",
                        lambda: _check_search(args.curve, args.height, sink.emit_raw))

@@ -44,16 +44,28 @@ class WeierstrassCurve:
 
     The b-invariants and the discriminant follow the standard formulary
     (Silverman, AEC, III.1); j is computed from them only when read.
+    Terms with a zero coefficient are skipped, as in add_points: with
+    a1 = a2 = a3 = 0 the discriminant is -8 b4^3 - 27 b6^2, that is
+    -16 (4 a4^3 + 27 a6^2), and b8 is never formed.
     """
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "disc")
 
     def __init__(self, a1, a2, a3, a4, a6):
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * (a2 * a6) - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
-        disc = -(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
+        b2 = 4 * a2
+        b4 = 2 * a4
+        b6 = 4 * a6
+        if a1:
+            b2 = b2 + a1 * a1
+            if a3:
+                b4 = b4 + a1 * a3
+        if a3:
+            b6 = b6 + a3 * a3
+        # disc = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6
+        disc = -8 * (b4 * b4 * b4) - 27 * (b6 * b6)
+        if b2:
+            b8 = a1 * a1 * a6 + 4 * (a2 * a6) - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
+            disc = disc + b2 * (9 * (b4 * b6) - b2 * b8)
         if not disc:
             raise SingularCurveError("discriminant is zero")
         for name, value in zip(self.__slots__, (a1, a2, a3, a4, a6, disc)):
@@ -186,10 +198,12 @@ def scalar_mul(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint
 def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int) -> int:
     """Least n >= 1 with n*P = infinity, up to bound.
 
-    Meets in the middle: for k = 1, 2, ... it walks A = kP and B = (k+1)P.
-    The order is 2k when A = -A, and 2k + 1 when x(B) = x(A), because then
-    B = -A (B = A would force P = infinity).  Order n costs about n/2
-    additions.
+    Meets in the middle on x alone: for k = 1, 2, ... it forms (k+1)P from
+    kP.  The order is 2k when x((k+1)P) = x((k-1)P), and 2k + 1 when
+    x((k+1)P) = x(kP); infinity has no x, so 2P = 0P gives order 2.  Equal
+    x means equal or opposite points, and the first k where either holds
+    rules out every smaller order and P = infinity, which leaves
+    (k+1)P = -(k-1)P and (k+1)P = -kP.  Order n costs about n/2 additions.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -197,16 +211,14 @@ def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int) -> int:
         raise PointNotOnCurveError("point not on curve")
     if point.is_infinity:
         return 1
-    a = point
+    previous_x, current = None, point  # x(0P) = x(infinity) and P
     for k in range(1, bound // 2 + 1):
-        if a == negate_point(curve, a):
+        following = add_points(curve, current, point)
+        if following.x == previous_x:
             return 2 * k
-        if 2 * k == bound:
-            break
-        b = add_points(curve, a, point)
-        if b.x == a.x:
+        if 2 * k < bound and following.x == current.x:
             return 2 * k + 1
-        a = b
+        previous_x, current = current.x, following
     raise OrderBoundExceededError(f"order exceeds bound {bound}")
 
 

@@ -7,10 +7,13 @@ field of the same kind, or None for any other type), +, *, unary -,
 inverse(), == (False across fields), bool (zero is falsy), hash and repr.
 FieldElement derives -, / (with an int or a Fraction on either side), **
 (square and multiply; a negative exponent inverts first) and immutability
-from them; NumberFieldElement overrides - with an integer kernel that
-builds one element, like its +.  Each field kind subclasses Field, which
-derives zero, one and immutability from its __call__.  Curve and model code
-is generic over the elements, with Fraction itself serving as the field Q.
+from them.  NumberFieldElement overrides - and / with integer kernels, so
+each of its + - * / builds one reduced element: an int or a Fraction
+operand scales the integer numerators and is never made an element, and
+a / b is one product with the adjugate of b.  Each field kind subclasses
+Field, which derives zero, one and immutability from its __call__.  Curve
+and model code is generic over the elements, with Fraction itself serving
+as the field Q.
 """
 
 from __future__ import annotations
@@ -394,10 +397,34 @@ def _element(field: NumberField, n0: int, n1: int, n2: int, den: int) -> NumberF
     if g != 1:
         n0, n1, n2, den = n0 // g, n1 // g, n2 // g, den // g
     e = object.__new__(NumberFieldElement)
-    object.__setattr__(e, "field", field)
-    object.__setattr__(e, "_num", (n0, n1, n2))
-    object.__setattr__(e, "_den", den)
+    _set_field(e, field)
+    _set_num(e, (n0, n1, n2))
+    _set_den(e, den)
     return e
+
+
+# an operand of either type takes the rational fast paths of NumberFieldElement
+_RATIONALS = (int, Fraction)
+
+
+def _product(field: NumberField, a: tuple, b: tuple) -> tuple:
+    """Numerators of the product of numerator triples a and b, over D^2.
+
+    The convolution runs to degree 4; then D theta^4 and D theta^3 are
+    each replaced by -(m0 + m1 theta + m2 theta^2) times theta and 1.
+    """
+    (m0, m1, m2), D = field._m, field._den
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    c0 = a0 * b0
+    c1 = a0 * b1 + a1 * b0
+    c2 = a0 * b2 + a1 * b1 + a2 * b0
+    c3 = a1 * b2 + a2 * b1
+    c4 = a2 * b2
+    c3 = c3 * D - c4 * m2
+    c2 = c2 * D - c4 * m1
+    c1 = c1 * D - c4 * m0
+    return c0 * D * D - c3 * m0, c1 * D - c3 * m1, c2 * D - c3 * m2
 
 
 class NumberFieldElement(FieldElement):
@@ -406,6 +433,11 @@ class NumberFieldElement(FieldElement):
     Stored as integer numerators (n0, n1, n2) over one positive denominator,
     in lowest terms (Cohen, GTM 138, section 4.2), so equal elements have
     equal representations; coords gives the coordinates as Fractions.
+
+    +, -, * and / each build one reduced element.  An int or Fraction
+    operand scales the numerators and is never made an element, and a / b
+    is one product of a with the adjugate of b.  Exact type tests come
+    before isinstance, whose Fraction test goes through the ABC machinery.
     """
 
     __slots__ = ("field", "_num", "_den")
@@ -414,78 +446,105 @@ class NumberFieldElement(FieldElement):
     def coords(self) -> tuple:
         return tuple(Fraction(n, self._den) for n in self._num)
 
+    def _same_field(self, other: NumberFieldElement) -> NumberFieldElement:
+        if other.field is not self.field and other.field != self.field:
+            raise ValueError("mixed number fields")
+        return other
+
     def _coerce(self, other):
-        if isinstance(other, NumberFieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("mixed number fields")
-            return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is NumberFieldElement:
+            return self._same_field(other)
+        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
             return _element(self.field, other.numerator, 0, 0, other.denominator)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         (a0, a1, a2), da = self._num, self._den
-        (b0, b1, b2), db = o._num, o._den
-        if da == db:
-            return _element(self.field, a0 + b0, a1 + b1, a2 + b2, da)
-        return _element(self.field, a0 * db + b0 * da, a1 * db + b1 * da,
-                        a2 * db + b2 * da, da * db)
+        if type(other) is NumberFieldElement:
+            (b0, b1, b2), db = self._same_field(other)._num, other._den
+            if da == db:
+                return _element(self.field, a0 + b0, a1 + b1, a2 + b2, da)
+            return _element(self.field, a0 * db + b0 * da, a1 * db + b1 * da,
+                            a2 * db + b2 * da, da * db)
+        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
+            n, d = other.numerator, other.denominator
+            return _element(self.field, a0 * d + n * da, a1 * d, a2 * d, da * d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         (a0, a1, a2), da = self._num, self._den
-        (b0, b1, b2), db = o._num, o._den
-        if da == db:
-            return _element(self.field, a0 - b0, a1 - b1, a2 - b2, da)
-        return _element(self.field, a0 * db - b0 * da, a1 * db - b1 * da,
-                        a2 * db - b2 * da, da * db)
+        if type(other) is NumberFieldElement:
+            (b0, b1, b2), db = self._same_field(other)._num, other._den
+            if da == db:
+                return _element(self.field, a0 - b0, a1 - b1, a2 - b2, da)
+            return _element(self.field, a0 * db - b0 * da, a1 * db - b1 * da,
+                            a2 * db - b2 * da, da * db)
+        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
+            n, d = other.numerator, other.denominator
+            return _element(self.field, a0 * d - n * da, a1 * d, a2 * d, da * d)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
+            (a0, a1, a2), da = self._num, self._den
+            n, d = other.numerator, other.denominator
+            return _element(self.field, n * da - a0 * d, -a1 * d, -a2 * d, da * d)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         field = self.field
-        (m0, m1, m2), D = field._m, field._den
-        a0, a1, a2 = self._num
-        b0, b1, b2 = o._num
-        # convolution to degree 4
-        c0 = a0 * b0
-        c1 = a0 * b1 + a1 * b0
-        c2 = a0 * b2 + a1 * b1 + a2 * b0
-        c3 = a1 * b2 + a2 * b1
-        c4 = a2 * b2
-        # D c4 theta^4 = -c4 (m0 theta + m1 theta^2 + m2 theta^3), then the same for theta^3
-        c3 = c3 * D - c4 * m2
-        c2 = c2 * D - c4 * m1
-        c1 = c1 * D - c4 * m0
-        return _element(field, c0 * D * D - c3 * m0, c1 * D - c3 * m1, c2 * D - c3 * m2,
-                        self._den * o._den * D * D)
+        if type(other) is NumberFieldElement:
+            self._same_field(other)
+            D = field._den
+            return _element(field, *_product(field, self._num, other._num),
+                            self._den * other._den * D * D)
+        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
+            n, d = other.numerator, other.denominator
+            a0, a1, a2 = self._num
+            return _element(field, a0 * n, a1 * n, a2 * n, self._den * d)
+        return NotImplemented
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        field = self.field
+        if type(other) is NumberFieldElement:
+            # b^-1 = db adj(b) / det(b), so a / b = db (na * adj(b)) / (da det(b))
+            adj, det = self._same_field(other)._adjugate()
+            db, D = other._den, field._den
+            c0, c1, c2 = _product(field, self._num, adj)
+            return _element(field, db * c0, db * c1, db * c2, self._den * det * D * D)
+        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
+            n, d = other.numerator, other.denominator
+            if not n:
+                raise ZeroDivisionError("division by 0 in number field")
+            a0, a1, a2 = self._num
+            return _element(field, a0 * d, a1 * d, a2 * d, self._den * n)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
+            (c0, c1, c2), det = self._adjugate()
+            n, d = other.numerator * self._den, other.denominator
+            return _element(self.field, n * c0, n * c1, n * c2, d * det)
+        return NotImplemented
 
     def __neg__(self):
         n0, n1, n2 = self._num
         return _element(self.field, -n0, -n1, -n2, self._den)
 
-    def inverse(self) -> NumberFieldElement:
-        """Inverse from the adjugate of the integer multiplication matrix.
+    def _adjugate(self) -> tuple:
+        """(C0, D C1, D^2 C2) and det, with self^-1 = den (C0, D C1, D^2 C2) / det.
 
-        For the numerator n the matrix has columns n, u = D n theta and
-        w = D u theta; its determinant is D^3 N(n), nonzero for n != 0.
-        The inverse's coordinates are d (C0, D C1, D^2 C2) / det, with C_i
-        the cofactors along the first row.
+        For the numerator n the integer multiplication matrix has columns
+        n, u = D n theta and w = D u theta; its determinant is D^3 N(n),
+        nonzero for n != 0.  C_i are the cofactors along its first row.
         """
         if not self:
             raise ZeroDivisionError("inverse of 0 in number field")
-        field = self.field
-        (m0, m1, m2), D = field._m, field._den
+        (m0, m1, m2), D = self.field._m, self.field._den
         n0, n1, n2 = self._num
         u0, u1, u2 = -n2 * m0, n0 * D - n2 * m1, n1 * D - n2 * m2
         w0, w1, w2 = -u2 * m0, u0 * D - u2 * m1, u1 * D - u2 * m2
@@ -496,13 +555,20 @@ class NumberFieldElement(FieldElement):
         if det == 0:
             # a zero norm contradicts irreducibility
             raise ArithmeticError("non-invertible element: reducible modulus")
+        return (cof0, D * cof1, D * D * cof2), det
+
+    def inverse(self) -> NumberFieldElement:
+        """Inverse from the adjugate of the integer multiplication matrix."""
+        (c0, c1, c2), det = self._adjugate()
         d = self._den
-        return _element(field, d * cof0, d * D * cof1, d * D * D * cof2, det)
+        return _element(self.field, d * c0, d * c1, d * c2, det)
 
     def is_rational(self) -> bool:
         return self._num[1] == 0 and self._num[2] == 0
 
     def __eq__(self, other):
+        if type(other) is NumberFieldElement and other.field is self.field:
+            return self._num == other._num and self._den == other._den
         try:
             o = self._coerce(other)
         except ValueError:
@@ -520,6 +586,13 @@ class NumberFieldElement(FieldElement):
     def __repr__(self):
         c0, c1, c2 = self.coords
         return f"({c0} + {c1}*theta + {c2}*theta^2)"
+
+
+# the slot setters of NumberFieldElement, which _element calls past the
+# immutability of FieldElement.__setattr__ (each about twice as fast as
+# object.__setattr__)
+_set_field, _set_num, _set_den = (vars(NumberFieldElement)[name].__set__
+                                  for name in NumberFieldElement.__slots__)
 
 
 def splitting_fingerprint(f: Polynomial, bound: int):

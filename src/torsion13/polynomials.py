@@ -276,9 +276,25 @@ def discriminant_cubic(a, b, c, d):
     for degree bookkeeping when a vanishes (the value is then the quantity
     the same formula assigns to the degenerate quadruple, not the
     discriminant of the lower-degree polynomial).
+
+    Rational arguments (ints or Fractions) take an integer kernel: the
+    formula runs on their numerators over the common denominator n, and
+    the value is divided by n^4, the formula being homogeneous of degree 4.
+    The value is a Fraction when any argument is one.
+
+    >>> discriminant_cubic(1, Fraction(-1, 2), 0, 1)
+    Fraction(-53, 2)
     """
-    return (18 * (a * b * c * d) - 4 * (b * b * b * d) + (b * b) * (c * c)
+    args = (a, b, c, d)
+    rational = all(isinstance(x, (int, Fraction)) for x in args)
+    if rational:
+        n = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        a, b, c, d = (x.numerator * (n // x.denominator) for x in args)
+    disc = (18 * (a * b * c * d) - 4 * (b * b * b * d) + (b * b) * (c * c)
             - 4 * (a * c * c * c) - 27 * (a * a * d * d))
+    if rational and any(isinstance(x, Fraction) for x in args):
+        return Fraction(disc, n ** 4)
+    return disc
 
 
 def rat_is_square(r):
@@ -351,13 +367,34 @@ def _binary_form(ints, a: int, b: int) -> int:
     return acc
 
 
+# primes whose residues filter the candidates of rational_roots
+_FILTER_PRIMES = (5, 7, 11, 13)
+
+
+def _roots_mod(ints, p: int) -> list:
+    """For each residue r mod p, whether r is a root of sum ints[i] x^i mod p."""
+    coeffs = [c % p for c in reversed(ints)]
+    table = []
+    for r in range(p):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * r + c) % p
+        table.append(not acc)
+    return table
+
+
 def rational_roots(p: Polynomial):
     """Exact set of rational roots, by the rational-root theorem.
 
-    Works on the integer form; a zero constant term contributes the root
-    0.  A candidate a/b with 11 not dividing b is tested exactly only when
-    a * b^-1 is a root of the form mod 11; candidates with 11 | b are all
-    tested.  Raises on the zero polynomial.
+    Works on the primitive integer form F; a zero constant term
+    contributes the root 0.  A root a/b in lowest terms has b dividing
+    the leading coefficient, and b^n f(a/b) = F(a, b), so for each of the
+    primes p = 5, 7, 11, 13 with p not dividing b, a * b^-1 is a root of
+    F(x, 1) mod p.  Hence the set is empty as soon as F has no root mod
+    one of them that does not divide the leading coefficient (no b is then
+    divisible by it); otherwise a candidate is tested exactly only when it
+    passes the table of every one of them not dividing its denominator.
+    Raises on the zero polynomial.
 
     >>> sorted(rational_roots(qpoly(0, Fraction(-1, 2), 0, 2)))
     [Fraction(-1, 2), Fraction(0, 1), Fraction(1, 2)]
@@ -375,18 +412,22 @@ def rational_roots(p: Polynomial):
         ints = ints[low:]
     if len(ints) == 1:
         return roots
-    # b^n f(a/b) = F(a, b), so a root a/b with 11 not dividing b makes a * b^-1 a root mod 11
-    root_mod_11 = [not _binary_form(ints, r, 1) % 11 for r in range(11)]
+    tables = []
+    for prime in _FILTER_PRIMES:
+        table = _roots_mod(ints, prime)
+        if not any(table) and ints[-1] % prime:
+            return roots
+        tables.append((prime, table))
     nums = _divisors(abs(ints[0]))
     for den in _divisors(abs(ints[-1])):
-        inv = pow(den, -1, 11) if den % 11 else None
+        filters = [(prime, pow(den, -1, prime), table) for prime, table in tables
+                   if den % prime]
         for num in nums:
             if gcd(num, den) != 1:
                 continue
             for a in (num, -num):
-                if inv is not None and not root_mod_11[a * inv % 11]:
-                    continue
-                if not _binary_form(ints, a, den):
+                if all(table[a * inv % prime] for prime, inv, table in filters) \
+                        and not _binary_form(ints, a, den):
                     roots.add(Fraction(a, den))
     return roots
 

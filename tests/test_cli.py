@@ -83,14 +83,15 @@ class TestFiber:
         code, out, _ = run_cli(capsys, "fiber", "classify",
                                "--map", "y", "--value", "-4/13")
         assert code == 0
-        lines = json_lines(out)
-        assert lines[0]["kind"] == "cyclic_cubic"
+        [report] = json_lines(out)
+        assert report["details"]["kind"] == "cyclic_cubic"
 
     def test_classify_t_map(self, capsys):
         code, out, _ = run_cli(capsys, "fiber", "classify",
                                "--map", "t", "--value", "0")
         assert code == 0
-        assert json_lines(out)[0]["kind"] == "ramified"
+        [report] = json_lines(out)
+        assert report["details"]["kind"] == "ramified"
 
     def test_bad_rational_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -362,9 +363,9 @@ class TestFrozenOutput:
         (["family", "verify", "--t", "3/5", "--json-only"],
          "979cd12aa7ce88d1de2ad40cccce03daf0b03ce36eb229ae9a67a580f6bfc7cc"),
         (["fiber", "classify", "--map", "y", "--value", "-4/13", "--json-only"],
-         "400909ad1b81fe8631eaa5d43b0dffa845b0657fffa7f7a2b786b82205ebb74d"),
+         "ebefbaf4f8cfc9e5f243e601c0e22d14b8abce36cb4f7e5ed3d8e051c77f1790"),
         (["fiber", "classify", "--map", "t", "--value", "0", "--json-only"],
-         "510a6883e41b11dd8e1fe9bf93547eacb3442103899828f29f80ccf8ee16f740"),
+         "5b67bbda4db46f176e2de8080d872add1ce79963822c70e3499fc9e8b75f4ad6"),
         (["search", "--curve", "x", "--height", "5", "--json-only"],
          "ec4e39816e559acd7539a7606408b691d90c0eb3a1c946547fa5354c143fb560"),
         (["count", "--curve", "d2min", "--p", "2", "--json-only"],

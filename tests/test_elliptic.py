@@ -19,9 +19,8 @@ def qcurve(a1=0, a2=0, a3=0, a4=0, a6=0):
     return WeierstrassCurve(*(Fraction(v) for v in (a1, a2, a3, a4, a6)))
 
 
-def formulary(curve):
+def formulary(a1, a2, a3, a4, a6):
     """(b2, b4, b6, b8, c4, c6, disc) from the coefficients (Silverman, AEC, III.1)."""
-    a1, a2, a3, a4, a6 = curve.coefficients()
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -56,15 +55,36 @@ class TestInvariants:
 
     def test_formulary_identities(self):
         for c in (qcurve(a6=1), qcurve(a4=1), qcurve(1, 2, 3, 4, 5)):
-            b2, b4, b6, b8, c4, c6, disc = formulary(c)
+            b2, b4, b6, b8, c4, c6, disc = formulary(*c.coefficients())
             assert 4 * b8 == b2 * b6 - b4 * b4
             assert 1728 * disc == c4**3 - c6**2
             assert c.disc == disc
             assert c.j * disc == c4**3
 
+    @pytest.mark.parametrize("field", [None, PrimeField(2), build_quadratic_extension(2),
+                                       PrimeField(3), PrimeField(7)],
+                             ids=["Q", "F_2", "F_4", "F_3", "F_7"])
+    def test_discriminant_skipping_zero_terms_matches_formulary(self, field):
+        """Every zero/nonzero pattern of the coefficients, in characteristics 0, 2, 3, 7."""
+        rng = random.Random(83)
+        if field is None:
+            zero = Fraction(0)
+            nonzero = [Fraction(n, d) for n in range(-6, 7) if n for d in (1, 2, 5)]
+        else:
+            nonzero, zero = [e for e in field.elements() if e], field.zero
+        for pattern in PATTERNS:
+            for _ in range(4):
+                coeffs = [rng.choice(nonzero) if on else zero for on in pattern]
+                disc = formulary(*coeffs)[-1]
+                if disc:
+                    assert WeierstrassCurve(*coeffs).disc == disc
+                else:
+                    with pytest.raises(SingularCurveError):
+                        WeierstrassCurve(*coeffs)
+
     def test_sporadic_curve_invariants_from_independent_formulary(self):
         field, curve, _ = sporadic_curve()
-        disc = formulary(curve)[-1]
+        disc = formulary(*curve.coefficients())[-1]
         assert disc == curve.disc
         assert bool(disc)
         assert not curve.j.is_rational()
@@ -219,6 +239,16 @@ def oracle_cases(field_name):
             curve = tate_curve(Fraction(b), Fraction(c))
             origin = tate_origin(curve)
             cases.append((None, curve, [INFINITY, origin, add_points(curve, origin, origin)], 13))
+        # the bound at the order and one below it: (0, 0) has order 2 on y^2 = x^3 - x,
+        # and orders 4, 5 and 6 on E(1, 0), E(1, 1) and E(2, 1) (b = c + c^2)
+        two_torsion = qcurve(a4=-1)
+        origins = [(two_torsion, CurvePoint(Fraction(0), Fraction(0)))]
+        origins += [(curve, tate_origin(curve)) for curve in
+                    (tate_curve(Fraction(b), Fraction(c)) for b, c in ((1, 0), (1, 1), (2, 1)))]
+        for curve, origin in origins:
+            order = order_by_addition(curve.coefficients(), as_pair(origin), 6)
+            for bound in sorted({1, 2, order - 1, order}):
+                cases.append((None, curve, [INFINITY, origin], bound))
         return cases, len(NONSINGULAR_PATTERNS), True
     field = NumberField(w_cubic(Fraction(3, 5)))
 
@@ -226,9 +256,11 @@ def oracle_cases(field_name):
         return field(random_rational(rng), random_rational(rng), random_rational(rng))
 
     cases = list(curves_through_random_points(random_element, 13))
-    # the family member: rational coefficients, a point of order 13 over Q(w)
+    # the family member: rational coefficients, a point of order 13 over Q(w),
+    # with the bound at its order and one below it
     member = build_family_instance(Fraction(3, 5))
     cases.append((None, member.curve, [INFINITY, member.point], 13))
+    cases.append((None, member.curve, [member.point], 12))
     return cases, len(NONSINGULAR_PATTERNS), False
 
 

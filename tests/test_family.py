@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from torsion13 import family, fields
+from torsion13 import cli, family, fields
 from torsion13.elliptic import CurvePoint, WeierstrassCurve, scalar_mul
 from torsion13.family import (A_FUNCTION, B_FUNCTION, DENOMINATOR_QUARTIC,
                               build_family_instance,
@@ -60,6 +60,27 @@ class TestVerifyInstance:
         assert verify_family_instance(build_family_instance(Fraction(3, 5))).passed
         assert calls.count("on") == 1
         assert calls.count("roots") == 1
+
+    def test_work_of_one_family_verify_is_pinned(self, monkeypatch, capsys):
+        """Counts, not times: the Q(w) elements built and the full Q(w) products
+        (convolutions) made by `family verify --t 3/5`.  A rational operand scales
+        numerators and a / b is one product with b's adjugate, so more of either
+        count means work came back."""
+        counts = {"elements": 0, "products": 0}
+
+        def counting(name, key):
+            original = getattr(fields, name)
+
+            def wrapper(*args):
+                counts[key] += 1
+                return original(*args)
+            monkeypatch.setattr(fields, name, wrapper)
+
+        counting("_element", "elements")
+        counting("_product", "products")
+        assert cli.main(["family", "verify", "--t", "3/5", "--json-only"]) == 0
+        assert '"order": 13' in capsys.readouterr().out
+        assert counts == {"elements": 70, "products": 22}
 
     def test_point_off_the_curve_is_a_failure_not_an_error(self):
         import dataclasses

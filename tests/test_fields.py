@@ -100,6 +100,64 @@ def test_elements_of_different_fields_are_unequal_and_do_not_mix(a, b):
             op(b, a)
 
 
+def number_fields():
+    return [pytest.param(NumberField(K_POLY), id="K")] + \
+        [pytest.param(NumberField(w_cubic(t)), id=f"L t={t}") for t in NON_INTEGRAL_T]
+
+
+def assert_same_element(got, expected):
+    """Equal, with equal hashes, and stored in lowest terms over a positive denominator."""
+    assert got == expected and hash(got) == hash(expected)
+    assert got._den > 0 and gcd(*got._num, got._den) == 1
+
+
+@pytest.mark.parametrize("field", number_fields())
+def test_rational_operands_match_the_coercing_path(field):
+    """An int or a Fraction on either side of + - * / gives the element that the
+    same operation gives with the rational made an element of the field first."""
+    rng = random.Random(59)
+    for _ in range(150):
+        a = random_element(field, rng)
+        for s in (rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))):
+            e = field(s)
+            assert_same_element(a + s, a + e)
+            assert_same_element(s + a, e + a)
+            assert_same_element(a - s, a - e)
+            assert_same_element(s - a, e - a)
+            assert_same_element(a * s, a * e)
+            assert_same_element(s * a, e * a)
+            if s:
+                assert_same_element(a / s, a / e)
+                assert_same_element(a / s, a * e.inverse())
+            if a:
+                assert_same_element(s / a, e / a)
+                assert_same_element(s / a, e * a.inverse())
+
+
+@pytest.mark.parametrize("field", number_fields())
+def test_division_is_one_product_with_the_adjugate(field):
+    """a / b equals a * b.inverse(), and the quotient times b, reduced by
+    polynomial division modulo the minimal polynomial, gives back a."""
+    rng = random.Random(61)
+    for _ in range(150):
+        a, b = random_element(field, rng), random_element(field, rng)
+        if not b:
+            continue
+        assert_same_element(a / b, a * b.inverse())
+        assert reduced_product(field, a / b, b) == a
+
+
+@pytest.mark.parametrize("field", number_fields())
+def test_division_by_zero_raises(field):
+    a = field(Fraction(1, 3), -2, 5)
+    for zero in (0, Fraction(0), field.zero):
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+    for s in (0, 3, Fraction(-2, 7)):
+        with pytest.raises(ZeroDivisionError):
+            s / field.zero
+
+
 class TestPrimeField:
     def test_non_prime_rejected(self):
         for bad in (1, 4, 9, 2**31 + 11):
@@ -246,10 +304,6 @@ class TestNonIntegralNumberField:
     def test_subtraction_is_adding_the_negative(self, L):
         """a - b == a + (-b) in lowest terms, with an element, an int or a Fraction as b,
         and with an int or a Fraction on the left."""
-        def assert_same(diff, expected):
-            assert diff == expected and hash(diff) == hash(expected)
-            assert diff._den > 0 and gcd(*diff._num, diff._den) == 1
-
         rng = random.Random(47)
         denominators = {True: 0, False: 0}
         for _ in range(300):
@@ -259,13 +313,13 @@ class TestNonIntegralNumberField:
             else:
                 b = random_element(L, rng, max_den=12)
             denominators[a._den == b._den] += 1
-            assert_same(a - b, a + (-b))
+            assert_same_element(a - b, a + (-b))
             for s in (rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))):
-                assert_same(a - s, a + (-s))
-                assert_same(s - a, s + (-a))
+                assert_same_element(a - s, a + (-s))
+                assert_same_element(s - a, s + (-a))
         assert all(denominators.values())
         a = random_element(L, rng)
-        assert_same(a - a, L.zero)
+        assert_same_element(a - a, L.zero)
         assert (a - a)._den == 1
 
     def test_canonical_form(self, L):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsion13 import polynomials
 from torsion13.family import w_cubic
 from torsion13.fields import NumberField, PrimeField
 from torsion13.polynomials import (NEG_INFINITY, Polynomial, RationalFunction,
@@ -124,6 +125,32 @@ class TestDiscriminantCubic:
         assert isinstance(disc, Polynomial)
         assert disc(Fraction(1)) == 49
 
+    def test_integer_kernel_matches_the_generic_formula(self):
+        """Int and Fraction arguments, mixed at random: the value of the generic
+        formula over Fractions, and a Fraction exactly when some argument is one."""
+        def generic(a, b, c, d):
+            a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+            return (18 * a * b * c * d - 4 * b**3 * d + b**2 * c**2
+                    - 4 * a * c**3 - 27 * a**2 * d**2)
+
+        rng = random.Random(1013)
+        for _ in range(500):
+            args = [rng.randint(-40, 40) if rng.random() < 0.4
+                    else Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(4)]
+            disc = discriminant_cubic(*args)
+            assert disc == generic(*args)
+            assert type(disc) is (Fraction if any(type(x) is Fraction for x in args) else int)
+
+    def test_other_rings_take_the_generic_formula(self):
+        t2, c1, c2 = qpoly(0, 0, 1), qpoly(0, -2, 2, -1), qpoly(1, -3, 1, -1)
+        disc = discriminant_cubic(1, c2, c1, t2)  # an int among polynomials
+        assert isinstance(disc, Polynomial)
+        assert disc == (18 * (c2 * c1 * t2) - 4 * (c2 * c2 * c2 * t2) + c2 * c2 * (c1 * c1)
+                        - 4 * (c1 * c1 * c1) - 27 * (t2 * t2))
+        f7 = PrimeField(7)
+        disc = discriminant_cubic(f7(1), 3, f7(2), Fraction(1, 2))
+        assert disc == f7(discriminant_cubic(1, 3, 2, Fraction(1, 2)))
+
     def test_against_resultant_for_1000_random_monic_cubics(self):
         rng = random.Random(1000)
         for _ in range(1000):
@@ -235,8 +262,9 @@ class TestRationalRoots:
 
 
     def test_agrees_with_unfiltered_candidates(self):
-        """Against every candidate tested exactly, past the mod-11 filter: roots a/b
-        with 11 | b, and roots with 11 not dividing b in every residue a * b^-1 mod 11."""
+        """Against every candidate tested exactly, past the filter mod 5, 7, 11 and 13:
+        roots a/b with 11 | b, and roots with 11 not dividing b in every residue
+        a * b^-1 mod 11."""
         rng = random.Random(61)
         denominators = (1, 2, 3, 4, 5, 7, 9, 11, 13, 22, 33, 121, 242)
         quadratic = qpoly(-5, 0, 3)  # 3x^2 - 5: irreducible over Q
@@ -256,6 +284,46 @@ class TestRationalRoots:
             assert rational_roots(p) == roots == rational_roots_by_candidates(p.coeffs)
         assert residues == set(range(11))
         assert eleven_divides >= 20
+
+
+    def test_random_cubics_agree_with_unfiltered_candidates(self, monkeypatch):
+        """Irreducible and reducible cubics, some with a zero constant term, with
+        leading coefficients divisible by 5, 7, 11 and 13, against the unfiltered
+        oracle.  When the integer form has no root mod one of 5, 7, 11, 13 not
+        dividing its leading coefficient, no candidate is tested exactly."""
+        binary_form, exact_tests = polynomials._binary_form, []
+        monkeypatch.setattr(polynomials, "_binary_form",
+                            lambda *args: exact_tests.append(args) or binary_form(*args))
+        rng = random.Random(71)
+        leads = (1, 2, 5, 7, 11, 13, 25, 35, 77, 143, 5 * 7 * 11 * 13, 2 * 3 * 49)
+        kinds = {"irreducible": 0, "reducible": 0, "zero constant": 0, "early exit": 0}
+        for trial in range(600):
+            lead = rng.choice(leads) * rng.choice((-1, 1))
+            low = [rng.randint(-30, 30) for _ in range(2)]
+            if trial % 3 == 0:
+                ints = [rng.randint(-60, 60)] + low + [lead]
+            elif trial % 3 == 1:
+                # (b x - a)(c x^2 + ...) with b c = lead: the root a/b passes every filter
+                b = rng.choice([d for d in range(1, abs(lead) + 1) if lead % d == 0])
+                a = rng.randint(-20, 20)
+                ints = list((qpoly(-a, b) * qpoly(*low, lead // b)).coeffs)
+            else:
+                ints = [0] + low + [lead]
+            content = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            p = Polynomial([c * content for c in ints])
+            del exact_tests[:]
+            roots = rational_roots(p)
+            assert roots == rational_roots_by_candidates(p.coeffs)
+            form = ints[1:] if not ints[0] else ints  # the root 0 needs no test
+            rootless = [q for q in (5, 7, 11, 13) if form[-1] % q
+                        and all(sum(c * r**i for i, c in enumerate(form)) % q
+                                for r in range(q))]
+            if rootless:
+                assert roots <= {0} and not exact_tests
+                kinds["early exit"] += 1
+            kinds["zero constant" if not ints[0] else
+                  "reducible" if roots else "irreducible"] += 1
+        assert min(kinds.values()) >= 50, kinds
 
 
 class TestEnumerateRationals:
