@@ -25,6 +25,9 @@ from .reports import EVIDENCE, FAIL, PASS, ReportSink
 # lets bare negative rationals like -4/13 pass as option values
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 
+# the exponent of a decimal such as 1.5e-3, which Fraction would expand in full
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+
 MODELS = {
     "d1": x13.D1_MODEL,
     "d2": x13.D2_RAW_MODEL,
@@ -260,6 +263,15 @@ def _run_verify_all(sink: ReportSink):
 
 
 def _fraction(text: str) -> Fraction:
+    # a nonzero m * 10^e within the height cap has |e| < len(text) + 6, so the
+    # bound refuses none; it is checked on the digits, before 10^e is built
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        bound = 2 * len(text) + 7
+        if len(digits) > len(str(bound)) or int(digits or 0) > bound:
+            raise argparse.ArgumentTypeError(
+                f"exponent must be at most {bound} in absolute value")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .polynomials import Value
+
 
 class SingularCurveError(ValueError):
     """The requested Weierstrass model has vanishing discriminant."""
@@ -39,7 +41,7 @@ class CurvePoint:
 INFINITY = CurvePoint(None, None)
 
 
-class WeierstrassCurve:
+class WeierstrassCurve(Value):
     """Nonsingular long Weierstrass model: its coefficients and discriminant.
 
     The b-invariants and the discriminant follow the standard formulary
@@ -78,11 +80,10 @@ class WeierstrassCurve:
         c4 = b2 * b2 - 24 * (2 * self.a4 + self.a1 * self.a3)
         return c4 * c4 * c4 / self.disc
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeierstrassCurve is immutable")
-
     def coefficients(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
+    _key = coefficients
 
     def is_on_curve(self, point: CurvePoint) -> bool:
         if point.is_infinity:
@@ -103,14 +104,6 @@ class WeierstrassCurve:
         if a6:
             rhs = rhs + a6
         return lhs == rhs
-
-    def __eq__(self, other):
-        if not isinstance(other, WeierstrassCurve):
-            return NotImplemented
-        return self.coefficients() == other.coefficients()
-
-    def __hash__(self):
-        return hash(self.coefficients())
 
     def __repr__(self):
         return (f"WeierstrassCurve(a1={self.a1}, a2={self.a2}, a3={self.a3}, "

@@ -1,19 +1,22 @@
 """Prime fields F_p, quadratic extensions F_{p^2}, and cubic number fields.
 
 Each element kind subclasses FieldElement and defines only what depends on
-its representation: _coerce (an int, a Fraction or an element of the same
-field as an element of that field, ValueError for an element of another
-field of the same kind, or None for any other type), +, *, unary -,
-inverse(), == (False across fields), bool (zero is falsy), hash and repr.
-FieldElement derives -, / (with an int or a Fraction on either side), **
-(square and multiply; a negative exponent inverts first) and immutability
-from them.  NumberFieldElement overrides - and / with integer kernels, so
+its representation: _key (the coordinates that make its value), +, *,
+unary -, inverse(), bool (zero is falsy) and repr, and _OPERANDS when it
+takes more than int and Fraction operands (F_{p^2} also takes F_p
+elements).  FieldElement derives the rest once for every kind: _coerce (an
+operand or an element of the same field as an element of that field,
+ValueError for an element of another field of the same kind, None for any
+other type), == (False across fields) and hash, -, / (with an operand on
+either side) and ** (square and multiply; a negative exponent inverts
+first).  NumberFieldElement overrides - and / with integer kernels, so
 each of its + - * / builds one reduced element: an int or a Fraction
 operand scales the integer numerators and is never made an element, and
 a / b is one product with the adjugate of b.  Each field kind subclasses
-Field, which derives zero, one and immutability from its __call__.  Curve
-and model code is generic over the elements, with Fraction itself serving
-as the field Q.
+Field and defines _key and __call__; Field derives zero, one and _check,
+the one same-field test that every __call__ and kernel makes.  Fields and
+elements are immutable Values.  Curve and model code is generic over the
+elements, with Fraction itself serving as the field Q.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polynomials import Polynomial, discriminant_cubic, rational_roots
+from .polynomials import Polynomial, Value, _roots_mod, discriminant_cubic, rational_roots
 
 PRIME_CAP = 2**31
 
@@ -40,13 +43,16 @@ def _check_prime(p: int):
         d += 1 if d == 2 else 2
 
 
-class Field:
+class Field(Value):
     """An immutable field whose __call__ maps int 0 and 1 to its zero and one."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def _check(self, element):
+        """element, which must lie in this field: ValueError if it lies in another."""
+        if element.field is not self and element.field != self:
+            raise ValueError(f"element of {element.field!r} used in {self!r}")
+        return element
 
     @property
     def zero(self):
@@ -57,13 +63,38 @@ class Field:
         return self(1)
 
 
-class FieldElement:
-    """An immutable element of self.field, built on _coerce, +, *, unary - and inverse()."""
+class FieldElement(Value):
+    """An immutable element of self.field, built on _key, +, *, unary - and inverse()."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    # the types other than its own that an element maps into its field
+    _OPERANDS = (int, Fraction)
+
+    def _coerce(self, other):
+        """other as an element of self.field, or None if its type is not an operand.
+
+        Raises ValueError for an element of another field of the same kind.
+        """
+        if type(other) is type(self):
+            return self.field._check(other)
+        if isinstance(other, self._OPERANDS):
+            return self.field(other)
+        return None
+
+    def __eq__(self, other):
+        # an element of this very field needs no coercion
+        if type(other) is not type(self) or other.field is not self.field:
+            try:
+                other = self._coerce(other)
+            except ValueError:
+                return False
+            if other is None:
+                return NotImplemented
+        return self._key() == other._key()
+
+    # defining __eq__ clears the inherited __hash__
+    __hash__ = Value.__hash__
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -113,9 +144,7 @@ class PrimeField(Field):
 
     def __call__(self, value) -> PrimeFieldElement:
         if isinstance(value, PrimeFieldElement):
-            if value.field.p != self.p:
-                raise ValueError("element from a different prime field")
-            return value
+            return self._check(value)
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise BadReductionError(f"denominator of {value} divisible by {self.p}")
@@ -131,11 +160,8 @@ class PrimeField(Field):
     def order(self) -> int:
         return self.p
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
+    def _key(self):
+        return self.p
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -148,14 +174,8 @@ class PrimeFieldElement(FieldElement):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "value", value)
 
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.field.p != self.field.p:
-                raise ValueError("mixed prime fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field(other)
-        return None
+    def _key(self):
+        return self.value
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -181,20 +201,8 @@ class PrimeFieldElement(FieldElement):
             raise ZeroDivisionError(f"inverse of 0 in F_{self.field.p}")
         return PrimeFieldElement(self.field, pow(self.value, -1, self.field.p))
 
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
-
     def __bool__(self):
         return self.value != 0
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
 
     def __repr__(self):
         return f"{self.value} (mod {self.field.p})"
@@ -220,9 +228,8 @@ class QuadraticExtensionField(Field):
     def __init__(self, base: PrimeField, modulus: tuple):
         # modulus (a0, a1) encodes x^2 + a1 x + a0
         a0, a1 = modulus[0] % base.p, modulus[1] % base.p
-        for r in range(base.p):
-            if (r * r + a1 * r + a0) % base.p == 0:
-                raise ValueError("modulus quadratic is reducible over F_p")
+        if any(_roots_mod((a0, a1, 1), base.p)):
+            raise ValueError("modulus quadratic is reducible over F_p")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
@@ -233,9 +240,7 @@ class QuadraticExtensionField(Field):
 
     def __call__(self, value) -> ExtensionFieldElement:
         if isinstance(value, ExtensionFieldElement):
-            if (value.field.p, value.field.a0, value.field.a1) != (self.p, self.a0, self.a1):
-                raise ValueError("element from a different extension")
-            return value
+            return self._check(value)
         if isinstance(value, (PrimeFieldElement, Fraction)):
             return ExtensionFieldElement(self, self.base(value).value, 0)
         return ExtensionFieldElement(self, value % self.p, 0)
@@ -251,12 +256,8 @@ class QuadraticExtensionField(Field):
     def order(self) -> int:
         return self.p * self.p
 
-    def __eq__(self, other):
-        return (isinstance(other, QuadraticExtensionField)
-                and (self.p, self.a0, self.a1) == (other.p, other.a0, other.a1))
-
-    def __hash__(self):
-        return hash(("QuadExt", self.p, self.a0, self.a1))
+    def _key(self):
+        return self.p, self.a0, self.a1
 
     def __repr__(self):
         return f"F_{self.p}^2 [xi^2 + {self.a1}*xi + {self.a0} = 0]"
@@ -265,20 +266,15 @@ class QuadraticExtensionField(Field):
 class ExtensionFieldElement(FieldElement):
     __slots__ = ("field", "c0", "c1")
 
+    _OPERANDS = (int, Fraction, PrimeFieldElement)
+
     def __init__(self, field: QuadraticExtensionField, c0: int, c1: int):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "c0", c0 % field.p)
         object.__setattr__(self, "c1", c1 % field.p)
 
-    def _coerce(self, other):
-        if isinstance(other, ExtensionFieldElement):
-            if (other.field.p, other.field.a0, other.field.a1) != \
-                    (self.field.p, self.field.a0, self.field.a1):
-                raise ValueError("mixed quadratic extensions")
-            return other
-        if isinstance(other, (int, Fraction, PrimeFieldElement)):
-            return self.field(other)
-        return None
+    def _key(self):
+        return self.c0, self.c1
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -315,20 +311,8 @@ class ExtensionFieldElement(FieldElement):
                                      (self.c0 - a1 * self.c1) * ninv,
                                      -self.c1 * ninv)
 
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        if o is None:
-            return NotImplemented
-        return (self.c0, self.c1) == (o.c0, o.c1)
-
     def __bool__(self):
         return self.c0 != 0 or self.c1 != 0
-
-    def __hash__(self):
-        return hash((self.field.p, self.c0, self.c1))
 
     def __repr__(self):
         return f"({self.c0} + {self.c1}*xi) (mod {self.field.p})"
@@ -368,9 +352,7 @@ class NumberField(Field):
 
     def __call__(self, c0, c1=0, c2=0) -> NumberFieldElement:
         if isinstance(c0, NumberFieldElement):
-            if c0.field != self:
-                raise ValueError("element from a different number field")
-            return c0
+            return self._check(c0)
         c = (Fraction(c0), Fraction(c1), Fraction(c2))
         den = lcm(c[0].denominator, c[1].denominator, c[2].denominator)
         return _element(self, *(ci.numerator * (den // ci.denominator) for ci in c), den)
@@ -378,12 +360,8 @@ class NumberField(Field):
     def generator(self) -> NumberFieldElement:
         return self(0, 1)
 
-    def __eq__(self, other):
-        return (isinstance(other, NumberField)
-                and other.minimal_polynomial == self.minimal_polynomial)
-
-    def __hash__(self):
-        return hash(("NumberField", self.minimal_polynomial))
+    def _key(self):
+        return self.minimal_polynomial
 
     def __repr__(self):
         return f"NumberField({self.minimal_polynomial})"
@@ -446,22 +424,13 @@ class NumberFieldElement(FieldElement):
     def coords(self) -> tuple:
         return tuple(Fraction(n, self._den) for n in self._num)
 
-    def _same_field(self, other: NumberFieldElement) -> NumberFieldElement:
-        if other.field is not self.field and other.field != self.field:
-            raise ValueError("mixed number fields")
-        return other
-
-    def _coerce(self, other):
-        if type(other) is NumberFieldElement:
-            return self._same_field(other)
-        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
-            return _element(self.field, other.numerator, 0, 0, other.denominator)
-        return None
+    def _key(self):
+        return self._num, self._den
 
     def __add__(self, other):
         (a0, a1, a2), da = self._num, self._den
         if type(other) is NumberFieldElement:
-            (b0, b1, b2), db = self._same_field(other)._num, other._den
+            (b0, b1, b2), db = self.field._check(other)._num, other._den
             if da == db:
                 return _element(self.field, a0 + b0, a1 + b1, a2 + b2, da)
             return _element(self.field, a0 * db + b0 * da, a1 * db + b1 * da,
@@ -476,7 +445,7 @@ class NumberFieldElement(FieldElement):
     def __sub__(self, other):
         (a0, a1, a2), da = self._num, self._den
         if type(other) is NumberFieldElement:
-            (b0, b1, b2), db = self._same_field(other)._num, other._den
+            (b0, b1, b2), db = self.field._check(other)._num, other._den
             if da == db:
                 return _element(self.field, a0 - b0, a1 - b1, a2 - b2, da)
             return _element(self.field, a0 * db - b0 * da, a1 * db - b1 * da,
@@ -496,7 +465,7 @@ class NumberFieldElement(FieldElement):
     def __mul__(self, other):
         field = self.field
         if type(other) is NumberFieldElement:
-            self._same_field(other)
+            field._check(other)
             D = field._den
             return _element(field, *_product(field, self._num, other._num),
                             self._den * other._den * D * D)
@@ -512,7 +481,7 @@ class NumberFieldElement(FieldElement):
         field = self.field
         if type(other) is NumberFieldElement:
             # b^-1 = db adj(b) / det(b), so a / b = db (na * adj(b)) / (da det(b))
-            adj, det = self._same_field(other)._adjugate()
+            adj, det = field._check(other)._adjugate()
             db, D = other._den, field._den
             c0, c1, c2 = _product(field, self._num, adj)
             return _element(field, db * c0, db * c1, db * c2, self._den * det * D * D)
@@ -566,22 +535,8 @@ class NumberFieldElement(FieldElement):
     def is_rational(self) -> bool:
         return self._num[1] == 0 and self._num[2] == 0
 
-    def __eq__(self, other):
-        if type(other) is NumberFieldElement and other.field is self.field:
-            return self._num == other._num and self._den == other._den
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        if o is None:
-            return NotImplemented
-        return self._num == o._num and self._den == o._den
-
     def __bool__(self):
         return self._num != (0, 0, 0)
-
-    def __hash__(self):
-        return hash((self.field.minimal_polynomial, self._num, self._den))
 
     def __repr__(self):
         c0, c1, c2 = self.coords
@@ -589,7 +544,7 @@ class NumberFieldElement(FieldElement):
 
 
 # the slot setters of NumberFieldElement, which _element calls past the
-# immutability of FieldElement.__setattr__ (each about twice as fast as
+# immutability of Value.__setattr__ (each about twice as fast as
 # object.__setattr__)
 _set_field, _set_num, _set_den = (vars(NumberFieldElement)[name].__set__
                                   for name in NumberFieldElement.__slots__)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import BadReductionError, PrimeField, build_quadratic_extension
-from .polynomials import Polynomial, enumerate_rationals, poly_gcd, rat_is_square
+from .polynomials import Polynomial, Value, enumerate_rationals, poly_gcd, rat_is_square
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class ModelPoint:
     v: Fraction
 
 
-class HyperellipticModel:
+class HyperellipticModel(Value):
     """Smooth hyperelliptic model (f, h) with genus floor((deg(h^2+4f)-1)/2)."""
 
     __slots__ = ("f", "h", "branch", "genus", "weight")
@@ -41,7 +41,7 @@ class HyperellipticModel:
         f = f.map_coefficients(Fraction)
         h = h.map_coefficients(Fraction)
         branch = h * h + 4 * f
-        if branch.is_zero():
+        if not branch:
             raise ValueError("h^2 + 4f vanishes identically")
         if poly_gcd(branch, branch.derivative()).degree > 0:
             raise ValueError("h^2 + 4f is not squarefree: singular model")
@@ -56,8 +56,8 @@ class HyperellipticModel:
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "weight", genus + 1)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HyperellipticModel is immutable")
+    def _key(self):
+        return self.f, self.h
 
     def infinity_chart(self):
         """The transformed pair (ft, ht) describing the curve near infinity."""

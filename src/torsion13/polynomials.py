@@ -1,5 +1,10 @@
 """Exact univariate polynomial arithmetic over pluggable coefficient rings.
 
+Value, the lowest layer, is the base of the immutable classes of the
+package (polynomials, rational functions, curves, models, fields and their
+elements): it writes immutability, == and hash once, and a subclass
+defines only _key(), the fields that make its value.
+
 A polynomial is a dense, immutable list of coefficients, constant term
 first: Polynomial([1, 0, 2]) is 1 + 2x^2.  Trailing zeros are stripped at
 construction, so the leading coefficient of a nonzero polynomial is never
@@ -7,8 +12,8 @@ zero; the zero polynomial has an empty coefficient tuple and degree -inf.
 
 Coefficients may be Fractions, ints, finite-field elements, number-field
 elements, or Polynomials themselves, as long as they support ring
-arithmetic and truthiness (zero is falsy).  Operations that divide
-(divmod, gcd) additionally need field coefficients.
+arithmetic and truthiness (zero is falsy, and so is the zero polynomial).
+Operations that divide (divmod, gcd) additionally need field coefficients.
 Rational-specific helpers (rational_roots, poly_sqrt) expect Fraction
 coefficients; qpoly() builds those conveniently.
 A polynomial over Q builds its integer form (primitive integer
@@ -25,6 +30,27 @@ from math import gcd, isqrt, lcm
 NEG_INFINITY = float("-inf")
 
 
+class Value:
+    """An immutable value, equal to another of its type when their _key()s are equal.
+
+    A subclass sets its slots once, through object.__setattr__, and defines
+    _key(), the fields that make up its value; == and hash read only that.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 def _invert(c):
     """Multiplicative inverse of a coefficient, staying exact."""
     if isinstance(c, int):
@@ -34,7 +60,7 @@ def _invert(c):
     return c.inverse()
 
 
-class Polynomial:
+class Polynomial(Value):
     """Dense univariate polynomial, constant term first, trailing zeros stripped."""
 
     # _int_form is filled by _integer_form() on first use, never at construction
@@ -46,27 +72,16 @@ class Polynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    def _key(self):
+        return self.coeffs
 
     @property
     def degree(self):
         """Degree of the polynomial; -inf for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __getitem__(self, i):
         """Coefficient of x^i (zero beyond the degree)."""
@@ -226,10 +241,10 @@ def poly_divmod(a: Polynomial, b: Polynomial):
     """Exact division with remainder over a coefficient field: a = q*b + r, deg r < deg b.
 
     >>> q, r = poly_divmod(qpoly(-1, 0, 1), qpoly(-1, 1))
-    >>> str(q), r.is_zero()
+    >>> str(q), not r
     ('1 + 1*x', True)
     """
-    if b.is_zero():
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if a.degree < b.degree:
         return Polynomial(), a
@@ -248,7 +263,7 @@ def poly_divmod(a: Polynomial, b: Polynomial):
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    while not b.is_zero():
+    while b:
         a, b = b, poly_divmod(a, b)[1]
     return a.monic()
 
@@ -258,12 +273,12 @@ def poly_ext_gcd(a: Polynomial, b: Polynomial):
     r0, r1 = a, b
     s0, s1 = Polynomial([1]), Polynomial()
     t0, t1 = Polynomial(), Polynomial([1])
-    while not r1.is_zero():
+    while r1:
         q, r = poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
+    if not r0:
         return r0, s0, t0
     inv = _invert(r0.coeffs[-1])
     return r0 * inv, s0 * inv, t0 * inv
@@ -314,7 +329,7 @@ def poly_sqrt(p: Polynomial):
 
     The root is normalized to have positive leading coefficient.
     """
-    if p.is_zero():
+    if not p:
         return Polynomial()
     n = p.degree
     if n % 2:
@@ -399,7 +414,7 @@ def rational_roots(p: Polynomial):
     >>> sorted(rational_roots(qpoly(0, Fraction(-1, 2), 0, 2)))
     [Fraction(-1, 2), Fraction(0, 1), Fraction(1, 2)]
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("rational roots of the zero polynomial")
     form = p._integer_form()
     if form is None:
@@ -454,18 +469,18 @@ def enumerate_rationals(height: int):
                 yield Fraction(p, q)
 
 
-class RationalFunction:
+class RationalFunction(Value):
     """Quotient of polynomials over Q, reduced, with monic denominator."""
 
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: Polynomial, denominator: Polynomial):
-        if denominator.is_zero():
+        if not denominator:
             raise ZeroDivisionError("zero denominator")
         numerator = numerator.map_coefficients(Fraction)
         denominator = denominator.map_coefficients(Fraction)
         g = poly_gcd(numerator, denominator)
-        if not g.is_zero() and g.degree > 0:
+        if g.degree > 0:
             numerator = poly_divmod(numerator, g)[0]
             denominator = poly_divmod(denominator, g)[0]
         lead = denominator.coeffs[-1]
@@ -476,22 +491,14 @@ class RationalFunction:
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
+    def _key(self):
+        return self.numerator, self.denominator
 
     def __call__(self, x):
         den = self.denominator(x)
         if not den:
             raise ZeroDivisionError(f"denominator vanishes at {x}")
         return self.numerator(x) / den
-
-    def __eq__(self, other):
-        if isinstance(other, RationalFunction):
-            return (self.numerator, self.denominator) == (other.numerator, other.denominator)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
 
     def __repr__(self):
         return f"({self.numerator}) / ({self.denominator})"

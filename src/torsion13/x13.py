@@ -129,7 +129,7 @@ def classify_fiber(fiber_map: FiberMap, value) -> FiberClassification:
         return FiberClassification(fiber_map, value, kind, cubic, roots, disc,
                                    square and disc != 0, False)
     # degree drop: infinity absorbs 3 - deg points of the fiber
-    if cubic.is_zero():
+    if not cubic:
         raise ValueError("fiber polynomial vanished identically")
     degree = cubic.degree
     roots = tuple(sorted(rational_roots(cubic)))

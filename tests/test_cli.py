@@ -304,10 +304,13 @@ class TestHarness:
          f"--value: |numerator| and denominator must be <= {cli.RATIONAL_HEIGHT_CAP}"),
         (["fiber", "classify", "--map", "y", "--value", "10000000000000061"],
          f"--value: |numerator| and denominator must be <= {cli.RATIONAL_HEIGHT_CAP}"),
+        (["family", "verify", "--t", "1e10000000"],
+         "--t: exponent must be at most 27 in absolute value"),
     ], ids=["search-0", "search-negative", "sweep-0", "search-cap+1", "sweep-cap+1",
             "count-1009", "count-2^31-1",
             "fingerprint-49", "fingerprint-10001",
-            "t-cap+1", "t-1000000007", "value-denominator-cap+1", "value-10^16"])
+            "t-cap+1", "t-1000000007", "value-denominator-cap+1", "value-10^16",
+            "t-1e10000000"])
     def test_out_of_range_bound_exits_2_before_any_work(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -49,6 +49,16 @@ def test_family_verify(t, json_only):
 
 
 @CONTRACT
+@given(mantissa=st.integers(min_value=0, max_value=10**4),
+       exponent=st.integers(min_value=-12, max_value=12), json_only=st.booleans())
+@example(mantissa=1, exponent=10**7, json_only=True)  # refused before 10**e is built
+@example(mantissa=0, exponent=10**8, json_only=True)
+def test_family_verify_decimal(mantissa, exponent, json_only):
+    assert_contract(["family", "verify", "--t", f"{mantissa}e{exponent}"]
+                    + ["--json-only"] * json_only)
+
+
+@CONTRACT
 @given(fiber_map=st.sampled_from(["y", "t"]), value=NONZERO_RATIONALS,
        json_only=st.booleans())
 @example(fiber_map="t", value=Fraction(10**6, 999983), json_only=False)  # at the height cap

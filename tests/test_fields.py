@@ -63,7 +63,7 @@ def test_field_element_protocol(field, a, b, p):
         assert left - a == field(left) + (-a)
         assert left / a == field(left) * a.inverse()
     assert 1 / a == a.inverse() and a * (1 / a) == field.one
-    assert a / b * b == a
+    assert a / b * b == a and hash(a / b * b) == hash(a)
     assert a ** 0 == field.one and a ** 1 == a and a ** 5 == a * a * a * a * a
     assert b ** -2 * b ** 2 == 1
     with pytest.raises(ZeroDivisionError):
@@ -75,6 +75,16 @@ def test_field_element_protocol(field, a, b, p):
     if p is not None:
         assert (field(1) == Fraction(1, p)) is False
         assert (Fraction(1, p) == field.one) is False
+
+
+def test_prime_field_elements_coerce_into_the_quadratic_extension():
+    f7, f49 = PrimeField(7), build_quadratic_extension(7)
+    xi = f49.generator()
+    assert f7(3) == f49(3) and f49(3) == f7(3)
+    assert f7(3) != xi and xi != f7(3)
+    for got in (f7(3) + xi, xi * f7(3)):
+        assert type(got) is type(xi) and got.field == f49
+    assert (f7(3) + xi, xi * f7(3)) == (xi + 3, 3 * xi)
 
 
 def mixed_field_cases():

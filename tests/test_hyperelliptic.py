@@ -288,7 +288,7 @@ def random_models(rng, count, genus=2, with_h=True):
     while len(models) < count:
         f = qpoly(*(rng.randint(-3, 3) for _ in range(2 * genus + 3)))
         h = qpoly(*(rng.randint(-2, 2) for _ in range(genus + 2))) if with_h else Polynomial()
-        if h.is_zero() == with_h:
+        if (not h) == with_h:
             continue
         try:
             model = HyperellipticModel(f=f, h=h)

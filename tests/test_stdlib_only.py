@@ -1,5 +1,6 @@
-"""The runtime package imports nothing outside the standard library, and one
-module of it writes JSON."""
+"""The runtime package imports nothing outside the standard library, one
+module of it writes JSON, and one class writes each of immutability,
+equality and field-element coercion."""
 
 import ast
 import pathlib
@@ -39,3 +40,23 @@ def test_no_class_writes_its_own_json():
            and any(isinstance(item, ast.FunctionDef) and item.name == "to_json"
                    for item in node.body)]
     assert not own
+
+
+def classes_defining(name):
+    """Names of the classes whose body defines name, as a method or an assignment."""
+    return {node.name for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef) and item.name == name
+                    or isinstance(item, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == name for t in item.targets)
+                    for item in node.body)}
+
+
+def test_value_semantics_are_written_once():
+    """Value writes immutability, == and hash; FieldElement alone redefines ==
+    (and so restores hash), and alone coerces operands."""
+    assert classes_defining("__setattr__") == {"Value"}
+    assert classes_defining("__eq__") == {"Value", "FieldElement"}
+    assert classes_defining("__hash__") == {"Value", "FieldElement"}
+    assert classes_defining("_coerce") == {"FieldElement"}

@@ -1,0 +1,53 @@
+"""Every immutable class is a Value: assignment raises, equal values built
+separately are equal with equal hashes, and a value never equals one of
+another type."""
+
+from fractions import Fraction
+
+import pytest
+
+from torsion13.elliptic import WeierstrassCurve
+from torsion13.fields import NumberField, PrimeField, build_quadratic_extension
+from torsion13.hyperelliptic import HyperellipticModel
+from torsion13.polynomials import RationalFunction, qpoly
+
+K_POLY = qpoly(64, -82, -1, 1)
+
+# each builds a fresh value on every call
+BUILDERS = {
+    "Polynomial": lambda: qpoly(1, 0, Fraction(2, 3)),
+    "RationalFunction": lambda: RationalFunction(qpoly(2, 2), qpoly(4, 0, 2)),
+    "WeierstrassCurve": lambda: WeierstrassCurve(1, Fraction(-1, 2), 0, -1, 3),
+    "HyperellipticModel": lambda: HyperellipticModel(f=qpoly(0, 1, 1), h=qpoly(1, 0, 1, 1)),
+    "PrimeField": lambda: PrimeField(7),
+    "PrimeFieldElement": lambda: PrimeField(7)(3),
+    "QuadraticExtensionField": lambda: build_quadratic_extension(7),
+    "ExtensionFieldElement": lambda: build_quadratic_extension(7).generator() + 2,
+    "NumberField": lambda: NumberField(K_POLY),
+    "NumberFieldElement": lambda: NumberField(K_POLY)(1, Fraction(1, 2), -3),
+}
+
+
+class LookAlike:
+    """An object of another type with the same _key as a value."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def _key(self):
+        return self.key
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_value_semantics(kind):
+    a, b = BUILDERS[kind](), BUILDERS[kind]()
+    assert type(a).__name__ == kind and a is not b
+    with pytest.raises(AttributeError):
+        setattr(a, type(a).__slots__[0], None)
+    with pytest.raises(AttributeError):
+        a.extra = None
+    assert a == b and not a != b and hash(a) == hash(b)
+    others = [LookAlike(a._key())] + [build() for name, build in BUILDERS.items()
+                                      if name != kind]
+    for other in others:
+        assert (a == other) is False and (other == a) is False and a != other
