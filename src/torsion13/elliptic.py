@@ -9,9 +9,7 @@ coordinates are exposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .polynomials import Value
+from .polynomials import Record, Value
 
 
 class SingularCurveError(ValueError):
@@ -26,12 +24,15 @@ class OrderBoundExceededError(ValueError):
     """A point's order exceeds the bound handed to point_order."""
 
 
-@dataclass(frozen=True, slots=True)
-class CurvePoint:
+class CurvePoint(Record):
     """Affine point (x, y), or the point at infinity when both are None."""
 
-    x: object
-    y: object
+    __slots__ = ("x", "y")
+
+    # every group-law step builds one point; this skips Record's generic loop
+    def __init__(self, x, y):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def is_infinity(self) -> bool:

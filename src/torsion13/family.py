@@ -24,14 +24,13 @@ Q(t)[w] / (w-cubic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import (CurvePoint, PointNotOnCurveError, WeierstrassCurve,
                        point_order)
 from .fields import NumberField
-from .polynomials import (Polynomial, RationalFunction, discriminant_cubic, qpoly,
-                          rat_is_square)
+from .polynomials import (Polynomial, RationalFunction, Record, discriminant_cubic,
+                          qpoly, rat_is_square)
 
 DENOMINATOR_QUARTIC = qpoly(1, 1, 5, -1, 1)
 
@@ -71,8 +70,7 @@ def verify_w_disc_identity() -> bool:
     return disc == w_cubic_discriminant_target()
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(Record):
     """One member of the family at a rational parameter value.
 
     status is "cyclic" when the w-cubic is irreducible (the generic case),
@@ -80,15 +78,8 @@ class FamilyInstance:
     situation where it factors over Q, and then field and point are None.
     """
 
-    t: Fraction
-    a_value: Fraction
-    b_value: Fraction
-    curve: WeierstrassCurve
-    w_minimal: Polynomial
-    disc_w: Fraction
-    status: str
-    field: NumberField | None
-    point: CurvePoint | None
+    __slots__ = ("t", "a_value", "b_value", "curve", "w_minimal", "disc_w",
+                 "status", "field", "point")
 
 
 def _point_coordinates(t: Fraction, w):
@@ -123,17 +114,11 @@ def build_family_instance(t) -> FamilyInstance:
                           "cyclic", field, CurvePoint(x, y))
 
 
-@dataclass(frozen=True)
-class FamilyVerification:
+class FamilyVerification(Record):
     """Structured outcome of the per-instance checks."""
 
-    t: Fraction
-    on_curve: bool
-    order: int | None
-    disc_is_square: bool
-    disc_nonzero: bool
-    passed: bool
-    failures: tuple
+    __slots__ = ("t", "on_curve", "order", "disc_is_square", "disc_nonzero",
+                 "passed", "failures")
 
 
 def verify_family_instance(instance: FamilyInstance) -> FamilyVerification:

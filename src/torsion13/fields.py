@@ -64,7 +64,14 @@ class Field(Value):
 
 
 class FieldElement(Value):
-    """An immutable element of self.field, built on _key, +, *, unary - and inverse()."""
+    """An immutable element of self.field, built on _key, +, *, unary - and inverse().
+
+    An element that lies in F_p keys, and so hashes, as its F_p value, and
+    a rational element of Q(theta) as its Fraction, so each hashes like
+    the values it equals.  An F_p element keys as its least residue, but
+    cannot hash like every int it equals: F_7(3) == 3 and F_7(3) == 10,
+    and 3 and 10 hash apart.
+    """
 
     __slots__ = ()
 
@@ -274,7 +281,7 @@ class ExtensionFieldElement(FieldElement):
         object.__setattr__(self, "c1", c1 % field.p)
 
     def _key(self):
-        return self.c0, self.c1
+        return self.c0 if self.c1 == 0 else (self.c0, self.c1)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -425,6 +432,8 @@ class NumberFieldElement(FieldElement):
         return tuple(Fraction(n, self._den) for n in self._num)
 
     def _key(self):
+        if self.is_rational():
+            return Fraction(self._num[0], self._den)
         return self._num, self._den
 
     def __add__(self, other):

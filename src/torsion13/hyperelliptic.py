@@ -16,20 +16,17 @@ N1, N2 -> (s1, s2) -> P(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import BadReductionError, PrimeField, build_quadratic_extension
-from .polynomials import Polynomial, Value, enumerate_rationals, poly_gcd, rat_is_square
+from .polynomials import (Polynomial, Record, Value, enumerate_rationals, poly_gcd,
+                          rat_is_square)
 
 
-@dataclass(frozen=True)
-class ModelPoint:
+class ModelPoint(Record):
     """A point in the affine chart ("affine", u, v) or infinity chart ("infinity", 0, V)."""
 
-    chart: str
-    u: Fraction
-    v: Fraction
+    __slots__ = ("chart", "u", "v")
 
 
 class HyperellipticModel(Value):

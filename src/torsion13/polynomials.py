@@ -3,7 +3,9 @@
 Value, the lowest layer, is the base of the immutable classes of the
 package (polynomials, rational functions, curves, models, fields and their
 elements): it writes immutability, == and hash once, and a subclass
-defines only _key(), the fields that make its value.
+defines only _key(), the fields that make its value.  Record, a Value
+whose fields are its __slots__, also writes the positional constructor and
+the repr of the plain records (points, family instances and reports).
 
 A polynomial is a dense, immutable list of coefficients, constant term
 first: Polynomial([1, 0, 2]) is 1 + 2x^2.  Trailing zeros are stripped at
@@ -49,6 +51,27 @@ class Value:
 
     def __hash__(self):
         return hash(self._key())
+
+
+class Record(Value):
+    """A Value whose fields are its __slots__, given in order to one positional __init__.
+
+    A subclass declares only __slots__ (and any docstring and properties);
+    its _key() is the field values and its repr is Name(a=..., b=...).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _invert(c):

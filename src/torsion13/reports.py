@@ -9,7 +9,7 @@ This module alone writes JSON, through one json.dumps default hook: a
 rational is the exact string "num/den" (denominator 1 included), a
 polynomial the list of its coefficients (constant term first), a model
 point on the infinity chart has u = "inf", an enum is its value and any
-dataclass its fields by name.
+Record its fields by name.
 """
 
 from __future__ import annotations
@@ -18,25 +18,21 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .hyperelliptic import ModelPoint
-from .polynomials import Polynomial
+from .polynomials import Polynomial, Record
 
 PASS = "pass"
 FAIL = "fail"
 EVIDENCE = "evidence"
 
 
-@dataclass
-class VerificationReport:
-    check_id: str
-    status: str
-    claim_ref: str
-    details: object  # a dict or a dataclass
-    elapsed_ms: int = 0
+class VerificationReport(Record):
+    """One check's outcome; details is a dict or a Record."""
+
+    __slots__ = ("check_id", "status", "claim_ref", "details", "elapsed_ms")
 
 
 def _wire(value):
@@ -49,8 +45,8 @@ def _wire(value):
         return {"u": "inf", "v": value.v, "chart": value.chart}
     if isinstance(value, Enum):
         return value.value
-    if is_dataclass(value):
-        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, Record):
+        return {name: getattr(value, name) for name in value.__slots__}
     raise TypeError(f"{type(value).__name__} has no JSON form")
 
 

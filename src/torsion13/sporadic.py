@@ -12,12 +12,11 @@ split modulo many primes (evidence of isomorphism, not a proof).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import SingularCurveError, point_order, tate_curve, tate_origin
 from .fields import NumberField, splitting_fingerprint
-from .polynomials import (Polynomial, discriminant_cubic, qpoly, rat_is_square,
+from .polynomials import (Polynomial, Record, discriminant_cubic, qpoly, rat_is_square,
                           rational_roots)
 from .x13 import FiberMap, fiber_cubic
 
@@ -112,18 +111,12 @@ def sporadic_fiber_cubic() -> Polynomial:
     return monic_integral_cubic(cubic)
 
 
-@dataclass(frozen=True)
-class FingerprintReport:
+class FingerprintReport(Record):
     """Splitting-fingerprint comparison between the fiber cubic and the field cubic."""
 
-    bound: int
-    fiber_cubic: Polynomial
-    fiber_disc_square: bool
-    field_disc_square: bool
-    compared_primes: int
-    fingerprints_agree: bool
-    first_disagreement: int | None
-    contrast_first_disagreement: int | None
+    __slots__ = ("bound", "fiber_cubic", "fiber_disc_square", "field_disc_square",
+                 "compared_primes", "fingerprints_agree", "first_disagreement",
+                 "contrast_first_disagreement")
 
 
 def _first_disagreement(fp_a: dict, fp_b: dict) -> int | None:
@@ -154,13 +147,6 @@ def fiber_field_evidence(bound: int = 1000) -> FingerprintReport:
     # the contrast first disagrees at p = 5, so primes up to 100 suffice
     contrast_first = _first_disagreement(
         splitting_fingerprint(CONTRAST_CUBIC, min(bound, 100)), fp_field)
-    return FingerprintReport(
-        bound=bound,
-        fiber_cubic=fiber,
-        fiber_disc_square=fiber_sq,
-        field_disc_square=field_sq,
-        compared_primes=len(set(fp_fiber) & set(fp_field)),
-        fingerprints_agree=first_disagreement is None,
-        first_disagreement=first_disagreement,
-        contrast_first_disagreement=contrast_first,
-    )
+    return FingerprintReport(bound, fiber, fiber_sq, field_sq,
+                             len(set(fp_fiber) & set(fp_field)),
+                             first_disagreement is None, first_disagreement, contrast_first)

@@ -14,12 +14,11 @@ curves searched for rational points.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .hyperelliptic import HyperellipticModel, ModelPoint, jacobian_order_fp
-from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,
+from .polynomials import (Polynomial, RationalFunction, Record, discriminant_cubic,
                           poly_sqrt, qpoly, rat_is_square, rational_roots)
 
 # model of X: h = x^3 + x^2 + 1, f = x^2 + x
@@ -67,18 +66,11 @@ class FiberKind(enum.Enum):
     DEGENERATE_DEGREE_DROP = "degenerate_degree_drop"
 
 
-@dataclass(frozen=True)
-class FiberClassification:
+class FiberClassification(Record):
     """Classification of one fiber, with the witnesses that decided it."""
 
-    map: FiberMap
-    value: Fraction
-    kind: FiberKind
-    cubic: Polynomial
-    rational_roots: tuple
-    discriminant: Fraction
-    discriminant_is_square: bool
-    includes_infinity: bool
+    __slots__ = ("map", "value", "kind", "cubic", "rational_roots", "discriminant",
+                 "discriminant_is_square", "includes_infinity")
 
 
 def _clear_denominators(p: Polynomial) -> Polynomial:
@@ -146,18 +138,12 @@ def classify_fiber(fiber_map: FiberMap, value) -> FiberClassification:
                                square and disc != 0, True)
 
 
-@dataclass(frozen=True)
-class DiscIdentityReport:
+class DiscIdentityReport(Record):
     """Outcome of checking disc_x(fiber polynomial) against the stored locus."""
 
-    map: FiberMap
-    computed_discriminant: Polynomial
-    stored_locus: Polynomial
-    quotient_numerator: Polynomial
-    quotient_denominator: Polynomial
-    sqrt_numerator: Polynomial
-    sqrt_denominator: Polynomial
-    exact_match: bool
+    __slots__ = ("map", "computed_discriminant", "stored_locus", "quotient_numerator",
+                 "quotient_denominator", "sqrt_numerator", "sqrt_denominator",
+                 "exact_match")
 
 
 def verify_disc_identity(fiber_map: FiberMap) -> DiscIdentityReport:

@@ -5,7 +5,7 @@ import pytest
 from torsion13 import cli, family, fields
 from torsion13.elliptic import CurvePoint, WeierstrassCurve, scalar_mul
 from torsion13.family import (A_FUNCTION, B_FUNCTION, DENOMINATOR_QUARTIC,
-                              build_family_instance,
+                              FamilyInstance, build_family_instance,
                               verify_family_instance, verify_w_disc_identity,
                               w_cubic, w_cubic_discriminant_target)
 from torsion13.polynomials import (discriminant_cubic, enumerate_rationals,
@@ -83,9 +83,10 @@ class TestVerifyInstance:
         assert counts == {"elements": 70, "products": 22}
 
     def test_point_off_the_curve_is_a_failure_not_an_error(self):
-        import dataclasses
         inst = build_family_instance(Fraction(3, 5))
-        off = dataclasses.replace(inst, point=CurvePoint(inst.point.x, inst.point.y + 1))
+        off = FamilyInstance(inst.t, inst.a_value, inst.b_value, inst.curve, inst.w_minimal,
+                             inst.disc_w, inst.status, inst.field,
+                             CurvePoint(inst.point.x, inst.point.y + 1))
         outcome = verify_family_instance(off)
         assert (outcome.passed, outcome.on_curve, outcome.order) == (False, False, None)
         assert outcome.failures == ("point does not satisfy the curve equation",)
@@ -110,9 +111,9 @@ class TestVerifyInstance:
             assert inst.disc_w > 0
 
     def test_split_instance_reported_not_verified(self):
-        import dataclasses
         inst = build_family_instance(Fraction(1))
-        split = dataclasses.replace(inst, status="split", field=None, point=None)
+        split = FamilyInstance(inst.t, inst.a_value, inst.b_value, inst.curve, inst.w_minimal,
+                               inst.disc_w, "split", None, None)
         outcome = verify_family_instance(split)
         assert not outcome.passed
         assert any("splits" in f for f in outcome.failures)

@@ -87,6 +87,22 @@ def test_prime_field_elements_coerce_into_the_quadratic_extension():
     assert (f7(3) + xi, xi * f7(3)) == (xi + 3, 3 * xi)
 
 
+def test_an_element_of_f_p_in_f_p2_hashes_as_in_f_p():
+    f7, f49 = PrimeField(7), build_quadratic_extension(7)
+    assert f49(3) == f7(3) == 3 and hash(f49(3)) == hash(f7(3)) == hash(3)
+    assert len({f49(3), f7(3), 3}) == 1
+    assert len({f49(3) + f49.generator(), f7(3)}) == 2
+    # an F_p element also equals every other int of its class, which hash apart
+    assert f7(3) == 10 and hash(10) != hash(f7(3))
+
+
+def test_a_rational_element_of_q_theta_hashes_as_its_fraction(K):
+    half = Fraction(1, 2)
+    assert K(half) == half and hash(K(half)) == hash(half)
+    assert len({K(half), half}) == 1 and len({K(3), Fraction(3), 3}) == 1
+    assert len({K(half, 1), half}) == 2
+
+
 def mixed_field_cases():
     """Pairs (a, b) from two different fields whose integer representatives agree."""
     w3, w5 = NumberField(w_cubic(3)), NumberField(w_cubic(5))

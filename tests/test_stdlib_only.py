@@ -1,9 +1,11 @@
-"""The runtime package imports nothing outside the standard library, one
-module of it writes JSON, and one class writes each of immutability,
-equality and field-element coercion."""
+"""The runtime package imports nothing outside the standard library (and
+not dataclasses), one module of it writes JSON, and one class writes each
+of immutability, equality and field-element coercion."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import torsion13
@@ -60,3 +62,24 @@ def test_value_semantics_are_written_once():
     assert classes_defining("__eq__") == {"Value", "FieldElement"}
     assert classes_defining("__hash__") == {"Value", "FieldElement"}
     assert classes_defining("_coerce") == {"FieldElement"}
+
+
+def test_no_module_imports_dataclasses():
+    """Record writes the plain records; dataclasses would bring inspect and ast to start-up."""
+    importers = {path.name for path in SOURCES for name in absolute_imports(path)
+                 if name.partition(".")[0] == "dataclasses"}
+    assert not importers
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    """A fresh interpreter that imports torsion13.cli adds none of the heavy
+    introspection modules that dataclasses pulls in."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = ("import sys; before = set(sys.modules); import torsion13.cli; "
+            f"print(sorted(set(sys.modules) - before & set({heavy!r})))")
+    src = str(pathlib.Path(torsion13.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

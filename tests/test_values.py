@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from torsion13.elliptic import WeierstrassCurve
+from torsion13.elliptic import CurvePoint, WeierstrassCurve
+from torsion13.family import build_family_instance, verify_family_instance
 from torsion13.fields import NumberField, PrimeField, build_quadratic_extension
-from torsion13.hyperelliptic import HyperellipticModel
+from torsion13.hyperelliptic import HyperellipticModel, ModelPoint
 from torsion13.polynomials import RationalFunction, qpoly
+from torsion13.reports import PASS, VerificationReport
+from torsion13.sporadic import fiber_field_evidence
+from torsion13.x13 import FiberMap, classify_fiber, verify_disc_identity
 
 K_POLY = qpoly(64, -82, -1, 1)
 
@@ -25,6 +29,17 @@ BUILDERS = {
     "ExtensionFieldElement": lambda: build_quadratic_extension(7).generator() + 2,
     "NumberField": lambda: NumberField(K_POLY),
     "NumberFieldElement": lambda: NumberField(K_POLY)(1, Fraction(1, 2), -3),
+    # the Records
+    "CurvePoint": lambda: CurvePoint(Fraction(1, 2), Fraction(-3)),
+    "ModelPoint": lambda: ModelPoint("affine", Fraction(-1), Fraction(0)),
+    "FamilyInstance": lambda: build_family_instance(Fraction(3, 5)),
+    "FamilyVerification": lambda: verify_family_instance(build_family_instance(Fraction(3, 5))),
+    "FiberClassification": lambda: classify_fiber(FiberMap.Y, Fraction(-4, 13)),
+    "DiscIdentityReport": lambda: verify_disc_identity(FiberMap.T),
+    "FingerprintReport": lambda: fiber_field_evidence(100),
+    "VerificationReport": lambda: VerificationReport(
+        "fiber.classify", PASS, "the fiber above -4/13 is a cyclic cubic",
+        classify_fiber(FiberMap.Y, Fraction(-4, 13)), 3),
 }
 
 
