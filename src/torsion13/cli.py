@@ -3,12 +3,16 @@
 Every check emits one line-delimited JSON report on stdout and a
 one-line human summary on stderr (suppressed by --json-only).  Exit code
 0 means no check failed, 1 means a verification failure, 2 a usage error.
+Run as a program (run(), the console script), a command whose stdout
+reader has gone, as with `| head`, stops at the first write that fails and
+exits 141 (128 + SIGPIPE, as a shell reports it) with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from fractions import Fraction
@@ -41,13 +45,14 @@ COUNT_P_CAP = 1000
 # a search tries O(height^2) candidates u; at the cap the slowest curves (d2, d2min)
 # take about 6 s (2-vCPU VM, Python 3.11.7)
 SEARCH_HEIGHT_CAP = 750
-# a sweep builds and verifies O(height^2) parameters; at the cap it takes about 2.4 s
+# a sweep builds and verifies O(height^2) parameters; at the cap it takes about 0.9 s
 # on the same machine
 SWEEP_HEIGHT_CAP = 36
 # the fingerprint tests every prime below the bound; its cost grows faster than the bound
 FINGERPRINT_BOUND_CAP = 10000
-# a rational --t or --value reaches rational_roots, whose trial division grows with
-# its height; at the cap on |numerator| and denominator a command takes under 0.2 s
+# a rational --t or --value reaches rational_roots, whose candidates grow with the
+# divisor counts of its numerator and denominator; at the cap most commands take
+# under 0.2 s, but `family verify --t 1000000/999999` takes about 10 s
 RATIONAL_HEIGHT_CAP = 10**6
 
 SIEVE_PRIMES = (3, 7, 11)
@@ -388,5 +393,22 @@ def main(argv=None) -> int:
     return 1 if sink.failed else 0
 
 
+# the exit code when stdout is a pipe closed by its reader: 128 + SIGPIPE
+EXIT_BROKEN_PIPE = 141
+
+
+def run() -> int:
+    """main() on the process arguments, as a program: the console entry point."""
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the unflushed output goes to devnull, so that the flush at exit
+        # raises no second BrokenPipeError (as the Python signal docs advise)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

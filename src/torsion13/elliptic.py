@@ -9,6 +9,8 @@ coordinates are exposed.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .polynomials import Record, Value
 
 
@@ -49,26 +51,34 @@ class WeierstrassCurve(Value):
     (Silverman, AEC, III.1); j is computed from them only when read.
     Terms with a zero coefficient are skipped, as in add_points: with
     a1 = a2 = a3 = 0 the discriminant is -8 b4^3 - 27 b6^2, that is
-    -16 (4 a4^3 + 27 a6^2), and b8 is never formed.
+    -16 (4 a4^3 + 27 a6^2), and b8 is never formed.  When a4 and a6 are
+    also Fractions, that value is computed on their numerators over the
+    one denominator den(a4)^3 den(a6)^2, and one Fraction is built.
     """
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "disc")
 
     def __init__(self, a1, a2, a3, a4, a6):
-        b2 = 4 * a2
-        b4 = 2 * a4
-        b6 = 4 * a6
-        if a1:
-            b2 = b2 + a1 * a1
+        if type(a4) is Fraction and type(a6) is Fraction and not (a1 or a2 or a3):
+            n4, d4, n6, d6 = a4.numerator, a4.denominator, a6.numerator, a6.denominator
+            d4 = d4 * d4 * d4
+            d6 = d6 * d6
+            disc = Fraction(-16 * (4 * (n4 * n4 * n4) * d6 + 27 * (n6 * n6) * d4), d4 * d6)
+        else:
+            b2 = 4 * a2
+            b4 = 2 * a4
+            b6 = 4 * a6
+            if a1:
+                b2 = b2 + a1 * a1
+                if a3:
+                    b4 = b4 + a1 * a3
             if a3:
-                b4 = b4 + a1 * a3
-        if a3:
-            b6 = b6 + a3 * a3
-        # disc = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6
-        disc = -8 * (b4 * b4 * b4) - 27 * (b6 * b6)
-        if b2:
-            b8 = a1 * a1 * a6 + 4 * (a2 * a6) - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
-            disc = disc + b2 * (9 * (b4 * b6) - b2 * b8)
+                b6 = b6 + a3 * a3
+            # disc = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6
+            disc = -8 * (b4 * b4 * b4) - 27 * (b6 * b6)
+            if b2:
+                b8 = a1 * a1 * a6 + 4 * (a2 * a6) - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
+                disc = disc + b2 * (9 * (b4 * b6) - b2 * b8)
         if not disc:
             raise SingularCurveError("discriminant is zero")
         for name, value in zip(self.__slots__, (a1, a2, a3, a4, a6, disc)):

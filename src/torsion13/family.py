@@ -29,8 +29,8 @@ from fractions import Fraction
 from .elliptic import (CurvePoint, PointNotOnCurveError, WeierstrassCurve,
                        point_order)
 from .fields import NumberField
-from .polynomials import (Polynomial, RationalFunction, Record, discriminant_cubic,
-                          qpoly, rat_is_square)
+from .polynomials import (Polynomial, RationalFunction, Record, _binary_form,
+                          discriminant_cubic, qpoly, rat_is_square)
 
 DENOMINATOR_QUARTIC = qpoly(1, 1, 5, -1, 1)
 
@@ -51,6 +51,13 @@ W_CUBIC_COEFF_POLYS = (
 )
 
 X_NUMERATOR_CONSTANT = qpoly(1, 3, -8, -6, 4, -3, 1)   # t^6 - 3t^5 + 4t^4 - 6t^3 - 8t^2 + 3t + 1
+
+# the integer coefficients of the t-polynomials that build_family_instance
+# evaluates as binary forms; A and B have denominators den and den^2
+_QUARTIC_INTS, _A_INTS, _B_INTS, _X_INTS = (
+    tuple(c.numerator for c in poly.coeffs)
+    for poly in (DENOMINATOR_QUARTIC, A_FUNCTION.numerator, B_FUNCTION.numerator,
+                 X_NUMERATOR_CONSTANT))
 
 
 def w_cubic(t) -> Polynomial:
@@ -82,25 +89,27 @@ class FamilyInstance(Record):
                  "status", "field", "point")
 
 
-def _point_coordinates(t: Fraction, w):
-    """Coordinates of the torsion point at t, with w the generator of Q(w)."""
-    den = DENOMINATOR_QUARTIC(t)
-    x = (36 * t * w + 3 * X_NUMERATOR_CONSTANT(t)) / den
-    y = (108 * t * ((t - 1) * w + t)) / den
-    return x, y
-
-
 def build_family_instance(t) -> FamilyInstance:
-    """Evaluate the family data at a rational t != 0."""
+    """Evaluate the family data at a rational t != 0.
+
+    With t = a/b, each t-polynomial is evaluated once as an integer binary
+    form at (a, b), q = b^4 den(t) among them, and each value is built from
+    integers as one Fraction or one Q(w) element: A(t) = A_num(a, b) / (b^4 q),
+    B(t) = B_num(a, b) / (b^4 q^2), x(P_t) = (3 X(a, b) + 36 a b^5 w) / (b^2 q)
+    with X the binary sextic of X_NUMERATOR_CONSTANT, and
+    y(P_t) = 108 a b^2 (a + (a - b) w) / q.
+    """
     t = Fraction(t)
     if t == 0:
         raise ValueError("parameter must be nonzero")
-    a_value = A_FUNCTION(t)
-    b_value = B_FUNCTION(t)
+    a, b = t.numerator, t.denominator
+    q = _binary_form(_QUARTIC_INTS, a, b)
+    na, nb = _binary_form(_A_INTS, a, b), _binary_form(_B_INTS, a, b)
+    b4q = b ** 4 * q
+    a_value, b_value = Fraction(na, b4q), Fraction(nb, b4q * q)
     zero = Fraction(0)
-    curve = WeierstrassCurve(zero, zero, zero,
-                             -27 * a_value,
-                             54 * (t * t + 1) * b_value)
+    curve = WeierstrassCurve(zero, zero, zero, Fraction(-27 * na, b4q),
+                             Fraction(54 * (a * a + b * b) * nb, b * b * b4q * q))
     cubic = w_cubic(t)
     disc_w = Fraction(discriminant_cubic(*reversed(cubic.coeffs)))
     try:
@@ -109,7 +118,9 @@ def build_family_instance(t) -> FamilyInstance:
         # the cubic is monic, so it is refused only for having a rational root
         return FamilyInstance(t, a_value, b_value, curve, cubic, disc_w,
                               "split", None, None)
-    x, y = _point_coordinates(t, field.generator())
+    x = field.from_integers(3 * _binary_form(_X_INTS, a, b), 36 * a * b ** 5, 0, b * b * q)
+    c = 108 * a * b * b
+    y = field.from_integers(c * a, c * (a - b), 0, q)
     return FamilyInstance(t, a_value, b_value, curve, cubic, disc_w,
                           "cyclic", field, CurvePoint(x, y))
 

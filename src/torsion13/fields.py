@@ -364,6 +364,12 @@ class NumberField(Field):
         den = lcm(c[0].denominator, c[1].denominator, c[2].denominator)
         return _element(self, *(ci.numerator * (den // ci.denominator) for ci in c), den)
 
+    def from_integers(self, n0: int, n1: int, n2: int, den: int) -> NumberFieldElement:
+        """(n0 + n1 theta + n2 theta^2) / den for integers, with den != 0."""
+        if not den:
+            raise ZeroDivisionError("zero denominator in number field")
+        return _element(self, n0, n1, n2, den)
+
     def generator(self) -> NumberFieldElement:
         return self(0, 1)
 
@@ -432,9 +438,10 @@ class NumberFieldElement(FieldElement):
         return tuple(Fraction(n, self._den) for n in self._num)
 
     def _key(self):
-        if self.is_rational():
-            return Fraction(self._num[0], self._den)
-        return self._num, self._den
+        num = self._num
+        if num[1] == 0 and num[2] == 0:  # is_rational() inline: every == calls _key
+            return Fraction(num[0], self._den)
+        return num, self._den
 
     def __add__(self, other):
         (a0, a1, a2), da = self._num, self._den

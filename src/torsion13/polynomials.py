@@ -57,7 +57,9 @@ class Record(Value):
     """A Value whose fields are its __slots__, given in order to one positional __init__.
 
     A subclass declares only __slots__ (and any docstring and properties);
-    its _key() is the field values and its repr is Name(a=..., b=...).
+    its _key() is the field values and its repr is Name(a=..., b=...).  A
+    record hashes only when all its fields do: a report whose details is a
+    dict raises TypeError from hash().
     """
 
     __slots__ = ()

@@ -1,10 +1,16 @@
 """Property tests of the CLI contract on the commands that take a rational,
 a height, a prime or a bound: whatever the value, the exit code is 0, 1 or 2,
-every stdout line is JSON, and stderr carries no traceback."""
+every stdout line is JSON, and stderr carries no traceback.  Run as a
+program with its stdout reader gone, a command exits 141, again with no
+traceback."""
 
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +19,7 @@ pytest.importorskip("hypothesis")  # installed with the test tools, not declared
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import torsion13  # noqa: E402
 from torsion13.cli import main  # noqa: E402
 
 # fixed examples and no example database, so runs repeat and tier-1 stays fast
@@ -106,3 +113,25 @@ def test_family_sweep(height, json_only):
 def test_sporadic_verify(bound, json_only):
     assert_contract(["sporadic", "verify", "--fingerprint-bound", str(bound)]
                     + ["--json-only"] * json_only)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_141_without_traceback(unbuffered):
+    """As a program, a command whose stdout reader has gone (as with `| head`)
+    exits 141 and writes nothing to stderr, whether the write that fails is
+    the first print (unbuffered) or the flush after main returns."""
+    src = str(pathlib.Path(torsion13.__file__).parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader leaves before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "torsion13.cli", "count", "--curve",
+                               "d2min", "--p", "2", "--json-only"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

@@ -5,9 +5,11 @@ import pytest
 from torsion13 import cli, family, fields
 from torsion13.elliptic import CurvePoint, WeierstrassCurve, scalar_mul
 from torsion13.family import (A_FUNCTION, B_FUNCTION, DENOMINATOR_QUARTIC,
-                              FamilyInstance, build_family_instance,
-                              verify_family_instance, verify_w_disc_identity,
-                              w_cubic, w_cubic_discriminant_target)
+                              X_NUMERATOR_CONSTANT, FamilyInstance,
+                              build_family_instance, verify_family_instance,
+                              verify_w_disc_identity, w_cubic,
+                              w_cubic_discriminant_target)
+from torsion13.fields import NumberField
 from torsion13.polynomials import (discriminant_cubic, enumerate_rationals,
                                    qpoly)
 
@@ -39,6 +41,46 @@ class TestBuildInstance:
         inst = build_family_instance(1)
         assert inst.curve.a4 == -27 * Fraction(16, 7)
         assert inst.curve.a6 == 54 * 2 * Fraction(92, 49)
+
+
+def reference_instance(t: Fraction) -> dict:
+    """The family data at t built as the module docstring writes it: A and B
+    as rational functions, the discriminant in plain Fractions, and the point
+    by element arithmetic in Q(w)."""
+    a_value, b_value = A_FUNCTION(t), B_FUNCTION(t)
+    a4, a6 = -27 * a_value, 54 * (t * t + 1) * b_value
+    w = NumberField(w_cubic(t)).generator()
+    den = DENOMINATOR_QUARTIC(t)
+    return {"a_value": a_value, "b_value": b_value, "a4": a4, "a6": a6,
+            "disc": -16 * (4 * a4 ** 3 + 27 * a6 ** 2),
+            "x": (36 * t * w + 3 * X_NUMERATOR_CONSTANT(t)) / den,
+            "y": 108 * t * ((t - 1) * w + t) / den}
+
+
+class TestIntegerBuild:
+    """build_family_instance evaluates each t-polynomial once as an integer
+    binary form; every field it builds equals the reference value."""
+
+    def test_what_the_build_relies_on(self):
+        assert A_FUNCTION.denominator == DENOMINATOR_QUARTIC
+        assert B_FUNCTION.denominator == DENOMINATOR_QUARTIC ** 2
+        for poly in (DENOMINATOR_QUARTIC, A_FUNCTION.numerator, B_FUNCTION.numerator,
+                     X_NUMERATOR_CONSTANT):
+            assert all(c.denominator == 1 for c in poly.coeffs)
+
+    @pytest.mark.parametrize("t", [t for t in enumerate_rationals(12) if t]
+                             + [Fraction(999983, 10**6), Fraction(-10**6)])
+    def test_matches_the_reference(self, t):
+        inst, ref = build_family_instance(t), reference_instance(t)
+        curve = inst.curve
+        assert (inst.t, inst.status, inst.w_minimal) == (t, "cyclic", w_cubic(t))
+        assert (inst.a_value, inst.b_value) == (ref["a_value"], ref["b_value"])
+        assert (curve.a1, curve.a2, curve.a3) == (0, 0, 0)
+        assert (curve.a4, curve.a6, curve.disc) == (ref["a4"], ref["a6"], ref["disc"])
+        assert all(type(v) is Fraction for v in (inst.a_value, inst.b_value, *curve.coefficients(),
+                                                 curve.disc))
+        assert (inst.point.x, inst.point.y) == (ref["x"], ref["y"])
+        assert inst.point.x.field == inst.field == ref["x"].field
 
 
 class TestVerifyInstance:
@@ -80,7 +122,7 @@ class TestVerifyInstance:
         counting("_product", "products")
         assert cli.main(["family", "verify", "--t", "3/5", "--json-only"]) == 0
         assert '"order": 13' in capsys.readouterr().out
-        assert counts == {"elements": 70, "products": 22}
+        assert counts == {"elements": 64, "products": 22}
 
     def test_point_off_the_curve_is_a_failure_not_an_error(self):
         inst = build_family_instance(Fraction(3, 5))

@@ -1,6 +1,7 @@
 """The runtime package imports nothing outside the standard library (and
-not dataclasses), one module of it writes JSON, and one class writes each
-of immutability, equality and field-element coercion."""
+not dataclasses), one module of it writes JSON, one class writes each of
+immutability, equality and field-element coercion, and only the fields
+module builds field elements past their classes' constructors."""
 
 import ast
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import torsion13
+from torsion13 import fields
 
 SOURCES = sorted(pathlib.Path(torsion13.__file__).parent.glob("*.py"))
 
@@ -83,3 +85,28 @@ def test_importing_the_cli_loads_no_introspection_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def identifier(node):
+    """What a Name, an Attribute or an imported alias names; None for any other node."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_only_fields_builds_elements_past_their_constructors():
+    """No module but fields names _element or calls __new__ on an element
+    class, so counting calls of fields._element counts every Q(theta) element."""
+    element_classes = {name for name, obj in vars(fields).items()
+                       if isinstance(obj, type) and issubclass(obj, fields.FieldElement)}
+    assert "NumberFieldElement" in element_classes
+    found = [(path.name, node.lineno) for path in SOURCES if path.name != "fields.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if identifier(node) == "_element"
+             or isinstance(node, ast.Call) and identifier(node.func) == "__new__"
+             and identifier(node.args[0] if node.args else None) in element_classes]
+    assert not found

@@ -10,7 +10,7 @@ from torsion13.elliptic import CurvePoint, WeierstrassCurve
 from torsion13.family import build_family_instance, verify_family_instance
 from torsion13.fields import NumberField, PrimeField, build_quadratic_extension
 from torsion13.hyperelliptic import HyperellipticModel, ModelPoint
-from torsion13.polynomials import RationalFunction, qpoly
+from torsion13.polynomials import RationalFunction, Record, qpoly
 from torsion13.reports import PASS, VerificationReport
 from torsion13.sporadic import fiber_field_evidence
 from torsion13.x13 import FiberMap, classify_fiber, verify_disc_identity
@@ -66,3 +66,12 @@ def test_value_semantics(kind):
                                       if name != kind]
     for other in others:
         assert (a == other) is False and (other == a) is False and a != other
+
+
+def test_a_record_hashes_only_when_its_fields_do():
+    """A report with Record details hashes like an equal one; dict details do not hash."""
+    report = BUILDERS["VerificationReport"]()
+    assert isinstance(report.details, Record)
+    assert {report, BUILDERS["VerificationReport"]()} == {report}
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(VerificationReport("a", PASS, "c", {"k": 1}, 0))
