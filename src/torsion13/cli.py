@@ -50,9 +50,10 @@ SEARCH_HEIGHT_CAP = 750
 SWEEP_HEIGHT_CAP = 36
 # the fingerprint tests every prime below the bound; its cost grows faster than the bound
 FINGERPRINT_BOUND_CAP = 10000
-# a rational --t or --value reaches rational_roots, whose candidates grow with the
-# divisor counts of its numerator and denominator; at the cap most commands take
-# under 0.2 s, but `family verify --t 1000000/999999` takes about 10 s
+# a rational --t or --value reaches rational_roots, which lifts roots modulo one
+# prime, so its cost grows with the digits of the value, not with their divisors;
+# at the cap each command takes a few ms (`family verify --t 1000000/999999`
+# about 4 ms on the same machine)
 RATIONAL_HEIGHT_CAP = 10**6
 
 SIEVE_PRIMES = (3, 7, 11)

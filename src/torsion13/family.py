@@ -19,7 +19,9 @@ P_t share the denominator t^4 - t^3 + 5t^2 + t + 1:
 
 This y-coordinate is pinned down (up to sign) by x(P_t) and the curve
 equation; both the on-curve identity and order 13 hold for it in
-Q(t)[w] / (w-cubic).
+Q(t)[w] / (w-cubic).  At each t the order is proved by
+elliptic.has_order: P_t is affine and x(6P_t) = x(7P_t), so
+7P_t = +-6P_t, hence 13P_t = O (P_t = O is ruled out), and 13 is prime.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .elliptic import (CurvePoint, PointNotOnCurveError, WeierstrassCurve,
-                       point_order)
+                       has_order, point_order)
 from .fields import NumberField
 from .polynomials import (Polynomial, RationalFunction, Record, _binary_form,
                           discriminant_cubic, qpoly, rat_is_square)
@@ -59,11 +61,22 @@ _QUARTIC_INTS, _A_INTS, _B_INTS, _X_INTS = (
     for poly in (DENOMINATOR_QUARTIC, A_FUNCTION.numerator, B_FUNCTION.numerator,
                  X_NUMERATOR_CONSTANT))
 
+# the w-cubic's coefficients below w^3, each as a binary cubic form
+_W_INTS = tuple(tuple(c.numerator for c in poly.coeffs) + (0,) * (4 - len(poly.coeffs))
+                for poly in W_CUBIC_COEFF_POLYS[:3])
+
 
 def w_cubic(t) -> Polynomial:
-    """The cubic in w at a rational parameter value."""
+    """The cubic in w at a rational parameter value, built from integers.
+
+    With t = a/b it is (C0 + C1 w + C2 w^2 + b^3 w^3) / b^3 for the binary
+    cubic forms C0 = a^2 b, C1 = -a^3 + 2a^2 b - 2ab^2 and
+    C2 = -a^3 + a^2 b - 3ab^2 + b^3 of W_CUBIC_COEFF_POLYS.
+    """
     t = Fraction(t)
-    return Polynomial([c(t) for c in W_CUBIC_COEFF_POLYS])
+    a, b = t.numerator, t.denominator
+    return Polynomial.from_integers([_binary_form(ints, a, b) for ints in _W_INTS]
+                                    + [b * b * b], b * b * b)
 
 
 def w_cubic_discriminant_target() -> Polynomial:
@@ -111,7 +124,10 @@ def build_family_instance(t) -> FamilyInstance:
     curve = WeierstrassCurve(zero, zero, zero, Fraction(-27 * na, b4q),
                              Fraction(54 * (a * a + b * b) * nb, b * b * b4q * q))
     cubic = w_cubic(t)
-    disc_w = Fraction(discriminant_cubic(*reversed(cubic.coeffs)))
+    # the cubic is F / lead for its primitive integer form F, and the
+    # discriminant is homogeneous of degree 4 in the coefficients
+    ints = cubic._integer_form()[0]
+    disc_w = Fraction(discriminant_cubic(*reversed(ints)), ints[3] ** 4)
     try:
         field = NumberField(cubic)
     except ValueError:
@@ -136,7 +152,8 @@ def verify_family_instance(instance: FamilyInstance) -> FamilyVerification:
     """Assert the defining properties of a cyclic instance.
 
     Checks, in order: the point satisfies the curve equation over Q(w);
-    its order is exactly 13; the w-cubic discriminant is a nonzero
+    its order is exactly 13 (proved by has_order; point_order names the
+    order when it is not 13); the w-cubic discriminant is a nonzero
     rational square.  Failures are collected, not raised.
     """
     failures = []
@@ -144,8 +161,10 @@ def verify_family_instance(instance: FamilyInstance) -> FamilyVerification:
         failures.append(f"w-cubic splits at t={instance.t}")
         return FamilyVerification(instance.t, False, None, False, False,
                                   False, tuple(failures))
-    try:  # point_order tests the curve equation once, at entry
-        on_curve, order = True, point_order(instance.curve, instance.point, bound=20)
+    curve, point = instance.curve, instance.point
+    try:  # has_order tests the curve equation once, at entry
+        on_curve = True
+        order = 13 if has_order(curve, point, 13) else point_order(curve, point, bound=20)
     except PointNotOnCurveError:
         on_curve, order = False, None
         failures.append("point does not satisfy the curve equation")

@@ -344,7 +344,9 @@ class NumberField(Field):
     __slots__ = ("minimal_polynomial", "_m", "_den")
 
     def __init__(self, minimal_polynomial: Polynomial):
-        mp = minimal_polynomial.map_coefficients(Fraction)
+        mp = minimal_polynomial
+        if not all(type(c) is Fraction for c in mp.coeffs):
+            mp = mp.map_coefficients(Fraction)
         if mp.degree != 3:
             raise ValueError("minimal polynomial must be a cubic")
         if mp.coeffs[-1] != 1:

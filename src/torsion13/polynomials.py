@@ -88,7 +88,7 @@ def _invert(c):
 class Polynomial(Value):
     """Dense univariate polynomial, constant term first, trailing zeros stripped."""
 
-    # _int_form is filled by _integer_form() on first use, never at construction
+    # _int_form is filled by _integer_form() on first use, or by from_integers
     __slots__ = ("coeffs", "_int_form")
 
     def __init__(self, coeffs=()):
@@ -96,6 +96,17 @@ class Polynomial(Value):
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def from_integers(cls, ints, den: int) -> Polynomial:
+        """sum ints[i] x^i / den over Q, for integers with ints[-1] != 0 and den > 0.
+
+        The integer form is read off the integers, so it is cached at once.
+        """
+        num = gcd(*ints)
+        p = cls([Fraction(c, den) for c in ints])
+        object.__setattr__(p, "_int_form", (tuple(c // num for c in ints), num, den))
+        return p
 
     def _key(self):
         return self.coeffs
@@ -376,24 +387,6 @@ def poly_sqrt(p: Polynomial):
     return None
 
 
-def _divisors(n: int):
-    """All positive divisors of n > 0, by trial-divided factorization."""
-    factors = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    divs = [1]
-    for prime, e in factors.items():
-        divs = [dv * prime**k for dv in divs for k in range(e + 1)]
-    return divs
-
-
 def _binary_form(ints, a: int, b: int) -> int:
     """sum ints[i] a^i b^(n-i), n = len(ints) - 1, by homogeneous Horner.
 
@@ -407,7 +400,7 @@ def _binary_form(ints, a: int, b: int) -> int:
     return acc
 
 
-# primes whose residues filter the candidates of rational_roots
+# primes whose root tables let rational_roots return early
 _FILTER_PRIMES = (5, 7, 11, 13)
 
 
@@ -423,8 +416,64 @@ def _roots_mod(ints, p: int) -> list:
     return table
 
 
+def _eval_mod(ints, x: int, m: int) -> int:
+    """sum ints[i] x^i mod m by Horner's rule."""
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _squarefree_part(ints) -> tuple:
+    """The primitive integer form of F / gcd(F, F') for F = sum ints[i] x^i."""
+    f = Polynomial(ints)
+    g = poly_gcd(f, f.derivative())
+    if g.degree > 0:
+        f = poly_divmod(f, g)[0]
+    return f._integer_form()[0]
+
+
+def _lifted_roots(ints) -> set:
+    """Rational roots of F = sum ints[i] x^i, primitive with ints[0] != 0, by Hensel lifting.
+
+    F is first replaced by its squarefree part, which has the same roots.
+    A root a/b in lowest terms has b | lc and a | c0, so y = lc a / b is an
+    integer with |y| <= |lc c0|.  The odd primes p not dividing lc are tried
+    in turn until every root of F mod p is simple, which fails only at the
+    finitely many p dividing the discriminant.  The root a b^-1 of F mod p
+    lifts, by Newton's step r - F(r) / F'(r), to the unique root r mod
+    M = p^(2^k) above it, and y = lc r mod M is read as the residue of least
+    absolute value once M > 2 |lc c0|.  So each simple root mod p gives one
+    candidate y / lc, which is tested exactly.
+    """
+    ints = _squarefree_part(ints)
+    lead = ints[-1]
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    p = 1
+    while True:
+        p += 2
+        if lead % p and all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            residues = [r for r, root in enumerate(_roots_mod(ints, p)) if root]
+            if all(_eval_mod(deriv, r, p) for r in residues):
+                break
+    bound = 2 * abs(lead * ints[0])
+    roots = set()
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        y = lead * r % m
+        if 2 * y > m:
+            y -= m
+        root = Fraction(y, lead)
+        if not _binary_form(ints, root.numerator, root.denominator):
+            roots.add(root)
+    return roots
+
+
 def rational_roots(p: Polynomial):
-    """Exact set of rational roots, by the rational-root theorem.
+    """Exact set of rational roots.
 
     Works on the primitive integer form F; a zero constant term
     contributes the root 0.  A root a/b in lowest terms has b dividing
@@ -432,8 +481,9 @@ def rational_roots(p: Polynomial):
     primes p = 5, 7, 11, 13 with p not dividing b, a * b^-1 is a root of
     F(x, 1) mod p.  Hence the set is empty as soon as F has no root mod
     one of them that does not divide the leading coefficient (no b is then
-    divisible by it); otherwise a candidate is tested exactly only when it
-    passes the table of every one of them not dividing its denominator.
+    divisible by it); otherwise the roots are found by Hensel lifting the
+    simple roots of F modulo one prime (see _lifted_roots), which takes a
+    few steps however many divisors the coefficients have.
     Raises on the zero polynomial.
 
     >>> sorted(rational_roots(qpoly(0, Fraction(-1, 2), 0, 2)))
@@ -452,24 +502,10 @@ def rational_roots(p: Polynomial):
         ints = ints[low:]
     if len(ints) == 1:
         return roots
-    tables = []
     for prime in _FILTER_PRIMES:
-        table = _roots_mod(ints, prime)
-        if not any(table) and ints[-1] % prime:
+        if not any(_roots_mod(ints, prime)) and ints[-1] % prime:
             return roots
-        tables.append((prime, table))
-    nums = _divisors(abs(ints[0]))
-    for den in _divisors(abs(ints[-1])):
-        filters = [(prime, pow(den, -1, prime), table) for prime, table in tables
-                   if den % prime]
-        for num in nums:
-            if gcd(num, den) != 1:
-                continue
-            for a in (num, -num):
-                if all(table[a * inv % prime] for prime, inv, table in filters) \
-                        and not _binary_form(ints, a, den):
-                    roots.add(Fraction(a, den))
-    return roots
+    return roots | _lifted_roots(ints)
 
 
 def enumerate_rationals(height: int):

@@ -164,13 +164,13 @@ class TestSporadic:
         assert all(l["claim_ref"] for l in json_lines(out))
 
     def test_each_assertion_times_its_own_work(self, capsys, monkeypatch):
-        order = sporadic.point_order
+        has_order = sporadic.has_order
 
-        def slow_order(*args):
+        def slow_has_order(*args):
             time.sleep(0.05)
-            return order(*args)
+            return has_order(*args)
 
-        monkeypatch.setattr(sporadic, "point_order", slow_order)
+        monkeypatch.setattr(sporadic, "has_order", slow_has_order)
         _, out, _ = run_cli(capsys, "sporadic", "verify", "--fingerprint-bound", "100")
         elapsed = {l["check_id"]: l["elapsed_ms"] for l in json_lines(out)}
         assert elapsed["sporadic.origin_has_order_13"] >= 50
@@ -377,8 +377,16 @@ class TestFrozenOutput:
          "360fb0cfe4be642dc30a071e9fca4b9905f733303665c57c04b50fdb3e0c84a7"),
         (["sporadic", "verify", "--fingerprint-bound", "100", "--json-only"],
          "de789bdac6aa618d07eca84fe8874262ac20d1ecab9b96d1e71c1401fe9d25ae"),
+        # at the height cap, where the coefficients have many divisors
+        (["family", "verify", "--t", "1000000/999999", "--json-only"],
+         "b3defbb96d188eb4a91d29263cf9316e83e848a6e9dfdb9d4e89f4bad9d1bd92"),
+        (["family", "verify", "--t", "-999999/1000000", "--json-only"],
+         "a0080b312d64427df876ea1bd3e64a4131bcb8a97f60a55ea436cb071ecb1431"),
+        (["fiber", "classify", "--map", "t", "--value", "1000000/999999", "--json-only"],
+         "e62733cf1f689b4be5bc88dbe838d92c895bcd4a86c7c82840671a2ad14b4b81"),
     ], ids=["verify-all", "family-verify-3/5", "fiber-y--4/13", "fiber-t-0",
-            "search-x-5", "count-d2min-2", "sweep-2", "sporadic-100"])
+            "search-x-5", "count-d2min-2", "sweep-2", "sporadic-100",
+            "family-verify-cap", "family-verify-cap-negative", "fiber-t-cap"])
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -386,6 +394,7 @@ class TestFrozenOutput:
 
     def test_failing_sweep_digest(self, capsys, monkeypatch):
         """Pins the per-parameter failures entries of the sweep report."""
+        monkeypatch.setattr(family, "has_order", lambda *args: False)
         monkeypatch.setattr(family, "point_order", lambda *args, **kwargs: 12)
         code, out, _ = run_cli(capsys, "family", "sweep", "--height", "2", "--json-only")
         assert code == 1

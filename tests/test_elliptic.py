@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from torsion13 import elliptic
 from torsion13.elliptic import (INFINITY, CurvePoint, OrderBoundExceededError,
                                 PointNotOnCurveError, SingularCurveError,
-                                WeierstrassCurve, add_points, negate_point,
+                                WeierstrassCurve, add_points, has_order, negate_point,
                                 point_order, scalar_mul, tate_curve, tate_origin)
 from torsion13.family import build_family_instance, w_cubic
 from torsion13.fields import NumberField, PrimeField, build_quadratic_extension
+from torsion13.polynomials import enumerate_rationals
 from torsion13.sporadic import sporadic_curve
 
 from oracles import chord_tangent_sum, order_by_addition, weierstrass_equation
@@ -382,6 +384,76 @@ class TestPointOrder:
         assert scalar_mul(curve, n, origin).is_infinity
         for m in range(1, n):
             assert not scalar_mul(curve, m, origin).is_infinity
+
+
+class TestHasOrder:
+    PRIMES = (3, 5, 7, 11, 13)
+
+    def test_agrees_with_point_order_on_every_point_over_prime_fields(self):
+        """Every point of five curves over F_p for four primes p < 60, one of them
+        a short model.  The orders met include 1, 2, 6, 7, 12, 14 and some above 20;
+        for n = 13 the chain reaches infinity at 6P for order 6 and at 7P for order 7."""
+        orders = set()
+        for p in (31, 41, 43, 59):
+            field = PrimeField(p)
+            elements = list(field.elements())
+            rng = random.Random(p)
+            for k in range(5):
+                while True:
+                    a1, a2, a3, a4, a6 = (rng.choice(elements) for _ in range(5))
+                    if k == 0:
+                        a1 = a2 = a3 = field.zero
+                    try:
+                        curve = WeierstrassCurve(a1, a2, a3, a4, a6)
+                        break
+                    except SingularCurveError:
+                        continue
+                points = [INFINITY] + [CurvePoint(x, y) for x in elements for y in elements
+                                       if curve.is_on_curve(CurvePoint(x, y))]
+                for point in points:
+                    try:
+                        order = point_order(curve, point, 40)
+                    except OrderBoundExceededError:
+                        order = 41  # any order above the bound
+                    orders.add(order)
+                    for n in self.PRIMES:
+                        assert has_order(curve, point, n) == (order == n), (p, point, n)
+        assert {1, 2, 6, 7, 12, 14, *self.PRIMES} <= orders
+        assert max(orders) > 20
+
+    def test_agrees_with_point_order_on_the_family(self):
+        checked = 0
+        for t in enumerate_rationals(6):
+            if not t:
+                continue
+            inst = build_family_instance(t)
+            order = point_order(inst.curve, inst.point, 40)
+            for n in self.PRIMES:
+                assert has_order(inst.curve, inst.point, n) == (order == n), (t, n)
+            checked += 1
+        assert checked == 46
+
+    def test_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
+        steps = []
+
+        def counting(curve, p, q):
+            if not (p.is_infinity or q.is_infinity):
+                steps.append("double" if p == q else "add")
+            return add_points(curve, p, q)
+        monkeypatch.setattr(elliptic, "add_points", counting)
+        _, curve, origin = sporadic_curve()
+        assert has_order(curve, origin, 13)
+        assert steps == ["double", "double", "add", "add"]
+
+    @pytest.mark.parametrize("n", [9, 2, 1, 0, -13, 15])
+    def test_n_other_than_an_odd_prime_is_refused(self, n):
+        curve = tate_curve(Fraction(1), Fraction(1))
+        with pytest.raises(ValueError, match="not an odd prime"):
+            has_order(curve, tate_origin(curve), n)
+
+    def test_point_off_the_curve_is_refused(self):
+        with pytest.raises(PointNotOnCurveError):
+            has_order(qcurve(a6=1), CurvePoint(Fraction(1), Fraction(1)), 13)
 
 
 class TestTateForm:

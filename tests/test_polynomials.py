@@ -326,6 +326,24 @@ class TestRationalRoots:
         assert min(kinds.values()) >= 50, kinds
 
 
+    @pytest.mark.parametrize("ints, count", [
+        ((27720, -4, 1, 5040), 0),            # roots mod 11 and 13, none over Q
+        ((-27720, 43379, -2759, 5040), 1),    # (63x - 40)(80x^2 + 7x + 693)
+        ((14700, 32795, -27672, 5040), 2),    # (12x - 35)^2 (35x + 12)
+        ((-42875, 44100, -15120, 1728), 1),   # (12x - 35)^3
+        ((27720, -10979, -54671, 5040), 3),   # (63x - 40)(80x + 63)(x - 11)
+    ])
+    def test_highly_composite_coefficients_agree_with_unfiltered_candidates(self, ints, count):
+        """Leading and constant coefficients with many divisors (5040 = 2^4 3^2 5 7,
+        27720 = 2^3 3^2 5 7 11), repeated roots included; each cubic has a root
+        mod every filter prime not dividing its leading coefficient, so its
+        roots come from the lifting."""
+        assert all(any(polynomials._roots_mod(ints, q)) for q in (5, 7, 11, 13) if ints[-1] % q)
+        roots = rational_roots(Polynomial([Fraction(c, 7) for c in ints]))
+        assert len(roots) == count
+        assert roots == rational_roots_by_candidates(ints)
+
+
 class TestEnumerateRationals:
     def test_height_one(self):
         assert set(enumerate_rationals(1)) == {0, 1, -1}
