@@ -5,8 +5,8 @@ group law written in characteristic-agnostic form.  Coefficients may be
 Fractions or any field element kind from the fields module.  Points are
 affine pairs plus a distinguished point at infinity; no projective
 coordinates are exposed.  point_order finds the order of a point up to a
-bound; has_order proves that a point has a given odd prime order n in
-about 2 log2(n) group steps.
+bound, first trying an expected odd prime order; has_order proves that a
+point has a given odd prime order n in about 2 log2(n) group steps.
 """
 
 from __future__ import annotations
@@ -196,6 +196,11 @@ def scalar_mul(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint
         raise PointNotOnCurveError("point not on curve")
     if n < 0:
         n, point = -n, negate_point(curve, point)
+    return _multiple(curve, n, point)
+
+
+def _multiple(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint:
+    """n*P for n >= 0 and a point already known to lie on the curve."""
     result = INFINITY
     addend = point
     while n:
@@ -207,7 +212,8 @@ def scalar_mul(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint
     return result
 
 
-def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int) -> int:
+def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int,
+                expected: int | None = None) -> int:
     """Least n >= 1 with n*P = infinity, up to bound.
 
     Meets in the middle on x alone: for k = 1, 2, ... it forms (k+1)P from
@@ -216,13 +222,22 @@ def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int) -> int:
     x means equal or opposite points, and the first k where either holds
     rules out every smaller order and P = infinity, which leaves
     (k+1)P = -(k-1)P and (k+1)P = -kP.  Order n costs about n/2 additions.
+
+    An odd prime `expected` up to bound is tried first, as has_order
+    proves it (2 doublings and 2 additions for 13, against 6 additions);
+    the walk runs only when that proof fails.  Any other expected raises
+    ValueError.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if expected is not None:
+        _require_odd_prime(expected)
     if not curve.is_on_curve(point):
         raise PointNotOnCurveError("point not on curve")
     if point.is_infinity:
         return 1
+    if expected is not None and expected <= bound and _odd_prime_order(curve, point, expected):
+        return expected
     previous_x, current = None, point  # x(0P) = x(infinity) and P
     for k in range(1, bound // 2 + 1):
         following = add_points(curve, current, point)
@@ -237,7 +252,7 @@ def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int) -> int:
 def has_order(curve: WeierstrassCurve, point: CurvePoint, n: int) -> bool:
     """Whether P has order exactly n, for an odd prime n = 2m + 1.
 
-    After scalar_mul's one on-curve check it forms mP by double-and-add and
+    After one on-curve check it forms mP by double-and-add and
     (m+1)P = mP + P, and it is True exactly when both are affine and
     x(mP) = x((m+1)P).  Equal x means (m+1)P = +-mP, so P = O or nP = O;
     P is affine, so nP = O, and since n is prime the order is exactly n.
@@ -249,10 +264,21 @@ def has_order(curve: WeierstrassCurve, point: CurvePoint, n: int) -> bool:
     >>> [has_order(curve, tate_origin(curve), n) for n in (3, 5, 7)]
     [False, True, False]
     """
+    _require_odd_prime(n)
+    if not curve.is_on_curve(point):
+        raise PointNotOnCurveError("point not on curve")
+    return not point.is_infinity and _odd_prime_order(curve, point, n)
+
+
+def _require_odd_prime(n: int) -> None:
     if n < 3 or not n % 2 or any(not n % d for d in range(3, isqrt(n) + 1, 2)):
         raise ValueError(f"order {n} is not an odd prime")
-    multiple = scalar_mul(curve, n // 2, point)
-    if point.is_infinity or multiple.is_infinity:
+
+
+def _odd_prime_order(curve: WeierstrassCurve, point: CurvePoint, n: int) -> bool:
+    """has_order's test for an affine point already known to lie on the curve."""
+    multiple = _multiple(curve, n // 2, point)
+    if multiple.is_infinity:
         return False
     following = add_points(curve, multiple, point)
     return not following.is_infinity and following.x == multiple.x

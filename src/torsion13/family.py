@@ -19,17 +19,17 @@ P_t share the denominator t^4 - t^3 + 5t^2 + t + 1:
 
 This y-coordinate is pinned down (up to sign) by x(P_t) and the curve
 equation; both the on-curve identity and order 13 hold for it in
-Q(t)[w] / (w-cubic).  At each t the order is proved by
-elliptic.has_order: P_t is affine and x(6P_t) = x(7P_t), so
-7P_t = +-6P_t, hence 13P_t = O (P_t = O is ruled out), and 13 is prime.
+Q(t)[w] / (w-cubic).  At each t, elliptic.point_order with expected
+order 13 proves the order as has_order does: P_t is affine and
+x(6P_t) = x(7P_t), so 7P_t = +-6P_t, hence 13P_t = O (P_t = O is ruled
+out), and 13 is prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .elliptic import (CurvePoint, PointNotOnCurveError, WeierstrassCurve,
-                       has_order, point_order)
+from .elliptic import CurvePoint, PointNotOnCurveError, WeierstrassCurve, point_order
 from .fields import NumberField
 from .polynomials import (Polynomial, RationalFunction, Record, _binary_form,
                           discriminant_cubic, qpoly, rat_is_square)
@@ -152,8 +152,8 @@ def verify_family_instance(instance: FamilyInstance) -> FamilyVerification:
     """Assert the defining properties of a cyclic instance.
 
     Checks, in order: the point satisfies the curve equation over Q(w);
-    its order is exactly 13 (proved by has_order; point_order names the
-    order when it is not 13); the w-cubic discriminant is a nonzero
+    its order is exactly 13 (point_order tries 13 first and walks to name
+    the order only when it is not 13); the w-cubic discriminant is a nonzero
     rational square.  Failures are collected, not raised.
     """
     failures = []
@@ -162,9 +162,9 @@ def verify_family_instance(instance: FamilyInstance) -> FamilyVerification:
         return FamilyVerification(instance.t, False, None, False, False,
                                   False, tuple(failures))
     curve, point = instance.curve, instance.point
-    try:  # has_order tests the curve equation once, at entry
+    try:  # point_order tests the curve equation once, at entry
         on_curve = True
-        order = 13 if has_order(curve, point, 13) else point_order(curve, point, bound=20)
+        order = point_order(curve, point, bound=20, expected=13)
     except PointNotOnCurveError:
         on_curve, order = False, None
         failures.append("point does not satisfy the curve equation")

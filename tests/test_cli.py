@@ -164,13 +164,13 @@ class TestSporadic:
         assert all(l["claim_ref"] for l in json_lines(out))
 
     def test_each_assertion_times_its_own_work(self, capsys, monkeypatch):
-        has_order = sporadic.has_order
+        order = sporadic.point_order
 
-        def slow_has_order(*args):
+        def slow_order(*args, **kwargs):
             time.sleep(0.05)
-            return has_order(*args)
+            return order(*args, **kwargs)
 
-        monkeypatch.setattr(sporadic, "has_order", slow_has_order)
+        monkeypatch.setattr(sporadic, "point_order", slow_order)
         _, out, _ = run_cli(capsys, "sporadic", "verify", "--fingerprint-bound", "100")
         elapsed = {l["check_id"]: l["elapsed_ms"] for l in json_lines(out)}
         assert elapsed["sporadic.origin_has_order_13"] >= 50
@@ -394,7 +394,6 @@ class TestFrozenOutput:
 
     def test_failing_sweep_digest(self, capsys, monkeypatch):
         """Pins the per-parameter failures entries of the sweep report."""
-        monkeypatch.setattr(family, "has_order", lambda *args: False)
         monkeypatch.setattr(family, "point_order", lambda *args, **kwargs: 12)
         code, out, _ = run_cli(capsys, "family", "sweep", "--height", "2", "--json-only")
         assert code == 1

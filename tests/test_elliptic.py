@@ -385,6 +385,52 @@ class TestPointOrder:
         for m in range(1, n):
             assert not scalar_mul(curve, m, origin).is_infinity
 
+    def test_expected_order_agrees_with_the_walk_on_every_point(self):
+        """Every point of a curve over F_p for four primes p: an expected odd prime,
+        right or wrong, above the bound or not, never changes the order found."""
+        for p in (31, 41, 43, 59):
+            field = PrimeField(p)
+            elements = list(field.elements())
+            rng = random.Random(p)
+            while True:
+                try:
+                    curve = WeierstrassCurve(*(rng.choice(elements) for _ in range(5)))
+                    break
+                except SingularCurveError:
+                    continue
+            points = [INFINITY] + [CurvePoint(x, y) for x in elements for y in elements
+                                   if curve.is_on_curve(CurvePoint(x, y))]
+            for point in points:
+                for bound in (5, 12, 40):
+                    try:
+                        order = point_order(curve, point, bound)
+                    except OrderBoundExceededError:
+                        order = None
+                    for expected in (3, 5, 7, 11, 13):
+                        if order is None:
+                            with pytest.raises(OrderBoundExceededError):
+                                point_order(curve, point, bound, expected)
+                        else:
+                            assert point_order(curve, point, bound, expected) == order
+
+    def test_expected_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
+        steps = []
+
+        def counting(curve, p, q):
+            if not (p.is_infinity or q.is_infinity):
+                steps.append("double" if p == q else "add")
+            return add_points(curve, p, q)
+        monkeypatch.setattr(elliptic, "add_points", counting)
+        _, curve, origin = sporadic_curve()
+        assert point_order(curve, origin, 20, expected=13) == 13
+        assert steps == ["double", "double", "add", "add"]
+
+    @pytest.mark.parametrize("expected", [9, 2, 1])
+    def test_expected_other_than_an_odd_prime_is_refused(self, expected):
+        curve = tate_curve(Fraction(1), Fraction(1))
+        with pytest.raises(ValueError, match="not an odd prime"):
+            point_order(curve, tate_origin(curve), 20, expected)
+
 
 class TestHasOrder:
     PRIMES = (3, 5, 7, 11, 13)
