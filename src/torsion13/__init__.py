@@ -4,8 +4,7 @@ one-parameter family, the sporadic curve over Q(alpha), the fiber
 classification of two degree-3 maps on a genus-2 modular curve, and the
 rational-point bookkeeping on the auxiliary hyperelliptic curves."""
 
-from .elliptic import (CurvePoint, INFINITY, WeierstrassCurve, add_points, has_order,
-                       negate_point, point_order, scalar_mul, tate_curve)
+from .elliptic import CurvePoint, INFINITY, WeierstrassCurve, add_points, point_order, tate_curve
 from .fields import (ExtensionFieldElement, NumberField, NumberFieldElement,
                      PrimeField, PrimeFieldElement, QuadraticExtensionField,
                      build_quadratic_extension, splitting_fingerprint)

@@ -45,8 +45,8 @@ COUNT_P_CAP = 1000
 # a search tries O(height^2) candidates u; at the cap the slowest curves (d2, d2min)
 # take about 6 s (2-vCPU VM, Python 3.11.7)
 SEARCH_HEIGHT_CAP = 750
-# a sweep builds and verifies O(height^2) parameters; at the cap it takes about 0.9 s
-# on the same machine
+# a sweep builds and verifies O(height^2) parameters; at the cap it takes 0.4 to 0.7 s
+# in process on the same machine
 SWEEP_HEIGHT_CAP = 36
 # the fingerprint tests every prime below the bound; its cost grows faster than the bound
 FINGERPRINT_BOUND_CAP = 10000

@@ -4,17 +4,16 @@ y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, with the chord-tangent
 group law written in characteristic-agnostic form.  Coefficients may be
 Fractions or any field element kind from the fields module.  Points are
 affine pairs plus a distinguished point at infinity; no projective
-coordinates are exposed.  point_order finds the order of a point up to a
-bound, first trying an expected odd prime order; has_order proves that a
-point has a given odd prime order n in about 2 log2(n) group steps.
+coordinates are exposed.  The group law is add_points; point_order finds
+the order of a point up to a bound, and proves an expected odd prime order
+n in about 2 log2(n) group steps before it walks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
-from .polynomials import Record, Value
+from .polynomials import Record, Value, _is_prime
 
 
 class SingularCurveError(ValueError):
@@ -22,7 +21,7 @@ class SingularCurveError(ValueError):
 
 
 class PointNotOnCurveError(ValueError):
-    """A point handed to scalar_mul or point_order is not on the curve."""
+    """A point handed to point_order is not on the curve."""
 
 
 class OrderBoundExceededError(ValueError):
@@ -124,24 +123,13 @@ class WeierstrassCurve(Value):
                 f"a4={self.a4}, a6={self.a6})")
 
 
-def negate_point(curve: WeierstrassCurve, point: CurvePoint) -> CurvePoint:
-    if point.is_infinity:
-        return point
-    x, y = point.x, -point.y
-    if curve.a1:
-        y = y - x * curve.a1
-    if curve.a3:
-        y = y - curve.a3
-    return CurvePoint(x, y)
-
-
 def add_points(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     """Chord-tangent addition, valid in every characteristic.
 
     Both points must lie on the curve.  Points enter the group law through
-    scalar_mul and point_order, which check this once.  Then x1 = x2 means
-    Q = -P or Q = P, and the denominator y1 + y2 + a1 x2 + a3 is zero for
-    Q = -P and equals the tangent's 2 y1 + a1 x1 + a3 for Q = P.
+    point_order, which checks this once.  Then x1 = x2 means Q = -P or
+    Q = P, and the denominator y1 + y2 + a1 x2 + a3 is zero for Q = -P and
+    equals the tangent's 2 y1 + a1 x1 + a3 for Q = P.
 
     Each term whose curve coefficient is zero is skipped, and a coordinate
     stands on the left of each coefficient product, so a curve over Q with
@@ -186,19 +174,6 @@ def add_points(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePo
     return CurvePoint(x3, y3)
 
 
-def scalar_mul(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint:
-    """n*P by double-and-add; 0*P is infinity and (-n)*P = n*(-P).
-
-    The addend is doubled only while higher bits remain, so 6P costs two
-    doublings and one addition.
-    """
-    if not curve.is_on_curve(point):
-        raise PointNotOnCurveError("point not on curve")
-    if n < 0:
-        n, point = -n, negate_point(curve, point)
-    return _multiple(curve, n, point)
-
-
 def _multiple(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint:
     """n*P for n >= 0 and a point already known to lie on the curve."""
     result = INFINITY
@@ -223,15 +198,22 @@ def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int,
     rules out every smaller order and P = infinity, which leaves
     (k+1)P = -(k-1)P and (k+1)P = -kP.  Order n costs about n/2 additions.
 
-    An odd prime `expected` up to bound is tried first, as has_order
-    proves it (2 doublings and 2 additions for 13, against 6 additions);
-    the walk runs only when that proof fails.  Any other expected raises
+    An odd prime `expected` = 2m + 1 up to bound is tried first, by a
+    proof: mP by double-and-add, then (m+1)P = mP + P.  Both affine with
+    x(mP) = x((m+1)P) means (m+1)P = +-mP, so nP = O with P affine, and n
+    is prime, so the order is exactly n; a point of order n passes.  For 13
+    that is 2 doublings and 2 additions, against 6 additions of the walk,
+    which runs only when the proof fails.  Any other expected raises
     ValueError.
+
+    >>> curve = tate_curve(Fraction(1), Fraction(1))  # (0, 0) has order 5
+    >>> point_order(curve, tate_origin(curve), 20, expected=5) == 5
+    True
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if expected is not None:
-        _require_odd_prime(expected)
+    if expected is not None and not (expected % 2 and _is_prime(expected)):
+        raise ValueError(f"order {expected} is not an odd prime")
     if not curve.is_on_curve(point):
         raise PointNotOnCurveError("point not on curve")
     if point.is_infinity:
@@ -249,34 +231,8 @@ def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int,
     raise OrderBoundExceededError(f"order exceeds bound {bound}")
 
 
-def has_order(curve: WeierstrassCurve, point: CurvePoint, n: int) -> bool:
-    """Whether P has order exactly n, for an odd prime n = 2m + 1.
-
-    After one on-curve check it forms mP by double-and-add and
-    (m+1)P = mP + P, and it is True exactly when both are affine and
-    x(mP) = x((m+1)P).  Equal x means (m+1)P = +-mP, so P = O or nP = O;
-    P is affine, so nP = O, and since n is prime the order is exactly n.
-    Conversely, a point of order n has (m+1)P = -mP with both affine.  For
-    n = 13 this is 2 doublings and 2 additions, against the 6 additions
-    of point_order's meet in the middle.  Any other n raises ValueError.
-
-    >>> curve = tate_curve(Fraction(1), Fraction(1))  # (0, 0) has order 5
-    >>> [has_order(curve, tate_origin(curve), n) for n in (3, 5, 7)]
-    [False, True, False]
-    """
-    _require_odd_prime(n)
-    if not curve.is_on_curve(point):
-        raise PointNotOnCurveError("point not on curve")
-    return not point.is_infinity and _odd_prime_order(curve, point, n)
-
-
-def _require_odd_prime(n: int) -> None:
-    if n < 3 or not n % 2 or any(not n % d for d in range(3, isqrt(n) + 1, 2)):
-        raise ValueError(f"order {n} is not an odd prime")
-
-
 def _odd_prime_order(curve: WeierstrassCurve, point: CurvePoint, n: int) -> bool:
-    """has_order's test for an affine point already known to lie on the curve."""
+    """point_order's proof of odd prime order n, for an affine point on the curve."""
     multiple = _multiple(curve, n // 2, point)
     if multiple.is_infinity:
         return False

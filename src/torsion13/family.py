@@ -20,9 +20,9 @@ P_t share the denominator t^4 - t^3 + 5t^2 + t + 1:
 This y-coordinate is pinned down (up to sign) by x(P_t) and the curve
 equation; both the on-curve identity and order 13 hold for it in
 Q(t)[w] / (w-cubic).  At each t, elliptic.point_order with expected
-order 13 proves the order as has_order does: P_t is affine and
-x(6P_t) = x(7P_t), so 7P_t = +-6P_t, hence 13P_t = O (P_t = O is ruled
-out), and 13 is prime.
+order 13 proves the order in 2 doublings and 2 additions: P_t is affine
+and x(6P_t) = x(7P_t), so 7P_t = +-6P_t, hence 13P_t = O (P_t = O is
+ruled out), and 13 is prime.
 """
 
 from __future__ import annotations

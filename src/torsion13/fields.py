@@ -24,7 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polynomials import Polynomial, Value, _roots_mod, discriminant_cubic, rational_roots
+from .polynomials import (Polynomial, Value, _is_prime, _roots_mod, discriminant_cubic,
+                          rational_roots)
 
 PRIME_CAP = 2**31
 
@@ -36,11 +37,8 @@ class BadReductionError(ValueError):
 def _check_prime(p: int):
     if p < 2 or p > PRIME_CAP:
         raise ValueError(f"modulus {p} out of range (2 <= p <= 2^31)")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"modulus {p} is not prime")
-        d += 1 if d == 2 else 2
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 class Field(Value):
@@ -216,7 +214,12 @@ class PrimeFieldElement(FieldElement):
 
 
 def least_nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue of an odd prime, by linear scan from 2."""
+    """Smallest quadratic non-residue of an odd prime, by linear scan from 2.
+
+    Every residue mod 2 is a square, so p < 3 raises ValueError.
+    """
+    if p < 3:
+        raise ValueError(f"every residue mod {p} is a square")
     squares = {i * i % p for i in range(p)}
     n = 2
     while n % p in squares:

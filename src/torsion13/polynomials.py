@@ -404,6 +404,11 @@ def _binary_form(ints, a: int, b: int) -> int:
 _FILTER_PRIMES = (5, 7, 11, 13)
 
 
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division by 2 and the odd numbers up to sqrt(n)."""
+    return n == 2 or (n > 2 and n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2)))
+
+
 def _roots_mod(ints, p: int) -> list:
     """For each residue r mod p, whether r is a root of sum ints[i] x^i mod p."""
     coeffs = [c % p for c in reversed(ints)]
@@ -452,7 +457,7 @@ def _lifted_roots(ints) -> set:
     p = 1
     while True:
         p += 2
-        if lead % p and all(p % d for d in range(3, isqrt(p) + 1, 2)):
+        if lead % p and _is_prime(p):
             residues = [r for r, root in enumerate(_roots_mod(ints, p)) if root]
             if all(_eval_mod(deriv, r, p) for r in residues):
                 break

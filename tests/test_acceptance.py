@@ -8,7 +8,6 @@ independent oracle computations, never from the code paths under test.
 import random
 from fractions import Fraction
 
-from torsion13.elliptic import scalar_mul
 from torsion13.family import (build_family_instance, verify_family_instance,
                               verify_w_disc_identity, w_cubic_discriminant_target)
 from torsion13.fields import PrimeField
@@ -24,7 +23,7 @@ from torsion13.x13 import (D1_MODEL, D2_MIN_MODEL, D2_RAW_MODEL, FiberKind,
                            classify_fiber, nineteen_divisibility,
                            verify_disc_identity)
 
-from oracles import divisor_class_count
+from oracles import divisor_class_count, order_by_addition
 
 FIXED_PARAMETERS = [Fraction(v) for v in (1, -1, 2, -2)] + \
     [Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(1, 3),
@@ -72,9 +71,7 @@ def test_sporadic_curve():
     assert checks["j_invariant_irrational"]()[0]
 
     _, curve, origin = sporadic_curve()
-    assert scalar_mul(curve, 13, origin).is_infinity
-    for k in range(1, 13):
-        assert not scalar_mul(curve, k, origin).is_infinity
+    assert order_by_addition(curve.coefficients(), (origin.x, origin.y), 14) == 13
     disc = discriminant_cubic(Fraction(1), Fraction(-1), Fraction(-82), Fraction(64))
     assert disc == 1482**2
     ok, root = rat_is_square(Fraction(1482**2, 247**2))

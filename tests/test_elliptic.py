@@ -7,8 +7,8 @@ import pytest
 from torsion13 import elliptic
 from torsion13.elliptic import (INFINITY, CurvePoint, OrderBoundExceededError,
                                 PointNotOnCurveError, SingularCurveError,
-                                WeierstrassCurve, add_points, has_order, negate_point,
-                                point_order, scalar_mul, tate_curve, tate_origin)
+                                WeierstrassCurve, add_points, point_order, tate_curve,
+                                tate_origin)
 from torsion13.family import build_family_instance, w_cubic
 from torsion13.fields import NumberField, PrimeField, build_quadratic_extension
 from torsion13.polynomials import enumerate_rationals
@@ -40,6 +40,40 @@ def as_pair(point):
 
 def as_point(pair):
     return INFINITY if pair is None else CurvePoint(*pair)
+
+
+def multiples(curve, point, count):
+    """[P, 2P, ..., count*P], each the last plus P."""
+    out = [point]
+    while len(out) < count:
+        out.append(add_points(curve, out[-1], point))
+    return out
+
+
+def record_add_points(monkeypatch):
+    """The (P, Q) of each add_points call that the elliptic module makes from now on."""
+    calls = []
+
+    def recording(curve, p, q):
+        calls.append((p, q))
+        return add_points(curve, p, q)
+    monkeypatch.setattr(elliptic, "add_points", recording)
+    return calls
+
+
+def expected_order_steps(n, order, bound):
+    """add_points calls of point_order(curve, P, bound, expected=n) for P of the given
+    order, bound + 1 standing for any order above the bound.
+
+    The proof forms mP, n = 2m + 1, by double-and-add (one call per set bit of m
+    and one per doubling), then (m+1)P unless mP = O; the walk, which must run
+    exactly when the order is not n, adds P once per k up to order // 2.
+    """
+    if order == 1:
+        return 0
+    m = n // 2
+    proof = m.bit_count() + m.bit_length() - 1 + (m % order != 0)
+    return proof + (0 if order == n else min(order, bound + 1) // 2)
 
 
 class TestInvariants:
@@ -97,16 +131,14 @@ class TestGroupLaw:
         c = qcurve(a4=-1)  # y^2 = x^3 - x
         p = CurvePoint(Fraction(0), Fraction(0))
         assert add_points(c, p, INFINITY) == p
-        assert add_points(c, p, negate_point(c, p)) == INFINITY
+        assert add_points(c, p, CurvePoint(p.x, -p.y)) == INFINITY  # -P, as a1 = a3 = 0
 
     def test_point_not_on_curve_rejected(self):
         c = qcurve(a4=-1)
         off = CurvePoint(Fraction(5), Fraction(5))
-        with pytest.raises(PointNotOnCurveError):
-            point_order(c, off, 5)
-        for n in (0, 1, -3):
+        for bound, expected in ((5, None), (5, 3), (20, 13)):
             with pytest.raises(PointNotOnCurveError):
-                scalar_mul(c, n, off)
+                point_order(c, off, bound, expected)
 
     def test_doubling_two_independent_paths_on_sporadic_curve(self):
         field, curve, origin = sporadic_curve()
@@ -268,7 +300,7 @@ def oracle_cases(field_name):
 
 @pytest.mark.parametrize("field_name", ["F_7", "F_9", "Q", "Q(w) t=3/5"])
 def test_group_law_matches_chord_tangent_oracle(field_name):
-    """is_on_curve, negate_point, add_points and point_order against the oracles
+    """is_on_curve, add_points and point_order against the oracles
     of tests/oracles.py, on a curve for each zero/nonzero pattern of the coefficients."""
     cases, expected_patterns, rational = oracle_cases(field_name)
     assert len({pattern for pattern, _, _, _ in cases if pattern}) == expected_patterns
@@ -281,9 +313,10 @@ def test_group_law_matches_chord_tangent_oracle(field_name):
                 for off in (CurvePoint(p.x, p.y + 1), CurvePoint(p.x + 1, p.y)):
                     on = not weierstrass_equation(coeffs, off.x, off.y)
                     assert curve.is_on_curve(off) == on
-            minus = negate_point(curve, p)
-            computed.append(minus)
-            assert minus.x == p.x and curve.is_on_curve(minus)
+            # -P = (x, -y - a1 x - a3)
+            minus = p if p.is_infinity else CurvePoint(p.x, -p.y - p.x * coeffs[0] - coeffs[2])
+            assert curve.is_on_curve(minus)
+            assert add_points(curve, p, minus) == INFINITY
             assert chord_tangent_sum(coeffs, as_pair(p), as_pair(minus)) is None
             for q in points:
                 total = add_points(curve, p, q)
@@ -302,22 +335,18 @@ def test_group_law_matches_chord_tangent_oracle(field_name):
 
 
 class TestScalarMul:
+    """Multiples n*P, built by repeated add_points."""
+
     def test_thirteen_kills_origin_on_sporadic_curve(self):
         _, curve, origin = sporadic_curve()
-        assert scalar_mul(curve, 13, origin).is_infinity
-
-    def test_one_and_negative(self):
-        c = qcurve(a6=1)
-        p = CurvePoint(Fraction(2), Fraction(3))
-        assert scalar_mul(c, 1, p) == p
-        assert scalar_mul(c, -1, p) == negate_point(c, p)
-        assert scalar_mul(c, 0, p).is_infinity
+        assert multiples(curve, origin, 13)[-1].is_infinity
 
     def test_six_plus_seven_equals_thirteen_on_family_curve(self):
         inst = build_family_instance(Fraction(1))
         curve, p = inst.curve, inst.point
-        lhs = add_points(curve, scalar_mul(curve, 6, p), scalar_mul(curve, 7, p))
-        assert lhs == scalar_mul(curve, 13, p)
+        kp = multiples(curve, p, 13)
+        lhs = add_points(curve, kp[5], kp[6])
+        assert lhs == kp[12]
         assert lhs.is_infinity
 
 
@@ -381,9 +410,9 @@ class TestPointOrder:
     def test_order_divisibility_structure(self):
         _, curve, origin = sporadic_curve()
         n = point_order(curve, origin, 20)
-        assert scalar_mul(curve, n, origin).is_infinity
-        for m in range(1, n):
-            assert not scalar_mul(curve, m, origin).is_infinity
+        kp = multiples(curve, origin, n)
+        assert kp[-1].is_infinity
+        assert not any(q.is_infinity for q in kp[:-1])
 
     def test_expected_order_agrees_with_the_walk_on_every_point(self):
         """Every point of a curve over F_p for four primes p: an expected odd prime,
@@ -413,32 +442,30 @@ class TestPointOrder:
                         else:
                             assert point_order(curve, point, bound, expected) == order
 
-    def test_expected_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
-        steps = []
-
-        def counting(curve, p, q):
-            if not (p.is_infinity or q.is_infinity):
-                steps.append("double" if p == q else "add")
-            return add_points(curve, p, q)
-        monkeypatch.setattr(elliptic, "add_points", counting)
-        _, curve, origin = sporadic_curve()
-        assert point_order(curve, origin, 20, expected=13) == 13
-        assert steps == ["double", "double", "add", "add"]
-
-    @pytest.mark.parametrize("expected", [9, 2, 1])
-    def test_expected_other_than_an_odd_prime_is_refused(self, expected):
-        curve = tate_curve(Fraction(1), Fraction(1))
-        with pytest.raises(ValueError, match="not an odd prime"):
-            point_order(curve, tate_origin(curve), 20, expected)
-
 
 class TestHasOrder:
+    """point_order with an expected odd prime n: the proof that P has order n,
+    and the walk that names the order, which runs exactly when the proof fails."""
+
     PRIMES = (3, 5, 7, 11, 13)
 
-    def test_agrees_with_point_order_on_every_point_over_prime_fields(self):
+    def check_every_expected_prime(self, curve, point, order, calls):
+        """point_order(curve, point, 40, expected=n) for each n of PRIMES, given
+        the order (41 for any order above 40): its result and its add_points calls."""
+        for n in self.PRIMES:
+            calls.clear()
+            if order > 40:
+                with pytest.raises(OrderBoundExceededError):
+                    point_order(curve, point, 40, expected=n)
+            else:
+                assert point_order(curve, point, 40, expected=n) == order, (point, n)
+            assert len(calls) == expected_order_steps(n, order, 40), (point, n, order)
+
+    def test_agrees_with_point_order_on_every_point_over_prime_fields(self, monkeypatch):
         """Every point of five curves over F_p for four primes p < 60, one of them
         a short model.  The orders met include 1, 2, 6, 7, 12, 14 and some above 20;
         for n = 13 the chain reaches infinity at 6P for order 6 and at 7P for order 7."""
+        calls = record_add_points(monkeypatch)
         orders = set()
         for p in (31, 41, 43, 59):
             field = PrimeField(p)
@@ -462,44 +489,39 @@ class TestHasOrder:
                     except OrderBoundExceededError:
                         order = 41  # any order above the bound
                     orders.add(order)
-                    for n in self.PRIMES:
-                        assert has_order(curve, point, n) == (order == n), (p, point, n)
+                    self.check_every_expected_prime(curve, point, order, calls)
         assert {1, 2, 6, 7, 12, 14, *self.PRIMES} <= orders
         assert max(orders) > 20
 
-    def test_agrees_with_point_order_on_the_family(self):
+    def test_agrees_with_point_order_on_the_family(self, monkeypatch):
+        calls = record_add_points(monkeypatch)
         checked = 0
         for t in enumerate_rationals(6):
             if not t:
                 continue
             inst = build_family_instance(t)
             order = point_order(inst.curve, inst.point, 40)
-            for n in self.PRIMES:
-                assert has_order(inst.curve, inst.point, n) == (order == n), (t, n)
+            self.check_every_expected_prime(inst.curve, inst.point, order, calls)
             checked += 1
         assert checked == 46
 
     def test_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
-        steps = []
-
-        def counting(curve, p, q):
-            if not (p.is_infinity or q.is_infinity):
-                steps.append("double" if p == q else "add")
-            return add_points(curve, p, q)
-        monkeypatch.setattr(elliptic, "add_points", counting)
+        calls = record_add_points(monkeypatch)
         _, curve, origin = sporadic_curve()
-        assert has_order(curve, origin, 13)
+        assert point_order(curve, origin, 20, expected=13) == 13
+        steps = ["double" if p == q else "add" for p, q in calls
+                 if not (p.is_infinity or q.is_infinity)]
         assert steps == ["double", "double", "add", "add"]
 
     @pytest.mark.parametrize("n", [9, 2, 1, 0, -13, 15])
     def test_n_other_than_an_odd_prime_is_refused(self, n):
         curve = tate_curve(Fraction(1), Fraction(1))
         with pytest.raises(ValueError, match="not an odd prime"):
-            has_order(curve, tate_origin(curve), n)
+            point_order(curve, tate_origin(curve), 20, expected=n)
 
     def test_point_off_the_curve_is_refused(self):
         with pytest.raises(PointNotOnCurveError):
-            has_order(qcurve(a6=1), CurvePoint(Fraction(1), Fraction(1)), 13)
+            point_order(qcurve(a6=1), CurvePoint(Fraction(1), Fraction(1)), 20, expected=13)
 
 
 class TestTateForm:

@@ -186,9 +186,11 @@ def test_division_by_zero_raises(field):
 
 class TestPrimeField:
     def test_non_prime_rejected(self):
-        for bad in (1, 4, 9, 2**31 + 11):
-            with pytest.raises(ValueError):
+        for bad, message in ((1, "out of range"), (4, "is not prime"), (9, "is not prime"),
+                             (2**31 - 3, "is not prime"), (2**31 + 11, "out of range")):
+            with pytest.raises(ValueError, match=message):
                 PrimeField(bad)
+        assert PrimeField(2**31 - 1).p == 2**31 - 1
 
     def test_arithmetic_mod_2(self):
         f2 = PrimeField(2)
@@ -231,6 +233,12 @@ class TestQuadraticExtension:
         assert least_nonresidue(13) == 2
         ext = build_quadratic_extension(13)
         assert (ext.a0, ext.a1) == (11, 0)  # x^2 - 2
+
+    @pytest.mark.parametrize("p", [2, 1])
+    def test_least_nonresidue_refuses_p_below_3(self, p):
+        """Every residue mod 2 and mod 1 is a square, so the scan would never stop."""
+        with pytest.raises(ValueError, match="is a square"):
+            least_nonresidue(p)
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,8 @@ from torsion13.polynomials import (NEG_INFINITY, Polynomial, RationalFunction,
                                    poly_divmod, poly_ext_gcd, poly_gcd, poly_sqrt,
                                    qpoly, rat_is_square, rational_roots)
 
-from oracles import (fraction_horner, primitive_prs_gcd, rational_roots_by_candidates,
-                     sylvester_resultant)
+from oracles import (fraction_horner, primes_upto, primitive_prs_gcd,
+                     rational_roots_by_candidates, sylvester_resultant)
 
 D1 = qpoly(1, 1) * qpoly(1, 5, 6, -6, -31, -27)
 Q1 = qpoly(1, 5, 6, -6, -31, -27)  # the squarefree quintic factor
@@ -342,6 +342,12 @@ class TestRationalRoots:
         roots = rational_roots(Polynomial([Fraction(c, 7) for c in ints]))
         assert len(roots) == count
         assert roots == rational_roots_by_candidates(ints)
+
+
+def test_is_prime_matches_the_sieve():
+    """The one trial-division prime test, which fields, elliptic and rational_roots share."""
+    primes = set(primes_upto(1000))
+    assert [n for n in range(-5, 1001) if polynomials._is_prime(n)] == sorted(primes)
 
 
 class TestEnumerateRationals:

@@ -1,13 +1,15 @@
 """The runtime package imports nothing outside the standard library (and
 not dataclasses), one module of it writes JSON, one class writes each of
-immutability, equality and field-element coercion, and only the fields
-module builds field elements past their classes' constructors."""
+immutability, equality and field-element coercion, only the fields module
+builds field elements past their classes' constructors, and every public
+function and class has a caller in the package."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import torsion13
 from torsion13 import fields
@@ -110,3 +112,24 @@ def test_only_fields_builds_elements_past_their_constructors():
              or isinstance(node, ast.Call) and identifier(node.func) == "__new__"
              and identifier(node.args[0] if node.args else None) in element_classes]
     assert not found
+
+
+# a target of bench/tracing.py, which ROADMAP item 1 must retire before it can go
+UNCALLED_PUBLIC_NAMES = {"poly_ext_gcd"}
+
+
+def test_every_public_function_and_class_is_used_in_the_package():
+    """Each public module-level function and class is named by some module
+    outside its own definition; __init__'s re-exports do not count."""
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES if path.name != "__init__.py"]
+
+    def names(node):
+        return Counter(identifier(n) for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+    everywhere = sum(map(names, trees), Counter())
+    unused = {node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and everywhere[node.name] == names(node)[node.name]}
+    assert unused == UNCALLED_PUBLIC_NAMES
