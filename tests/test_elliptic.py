@@ -442,6 +442,26 @@ class TestPointOrder:
                         else:
                             assert point_order(curve, point, bound, expected) == order
 
+    def test_expected_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
+        calls = record_add_points(monkeypatch)
+        _, curve, origin = sporadic_curve()
+        assert point_order(curve, origin, 20, expected=13) == 13
+        steps = ["double" if p == q else "add" for p, q in calls
+                 if not (p.is_infinity or q.is_infinity)]
+        assert steps == ["double", "double", "add", "add"]
+
+    @pytest.mark.parametrize("expected", [9, 2, 1])
+    def test_expected_other_than_an_odd_prime_is_refused(self, expected):
+        """Refused even for a point whose order it is: infinity, a 2-torsion point,
+        and (0, 0) on the Tate curve b = 12, c = 4, which has order 9."""
+        tate = tate_curve(Fraction(12), Fraction(4))
+        curve, point = {9: (tate, tate_origin(tate)),
+                        2: (qcurve(a4=-1), CurvePoint(Fraction(0), Fraction(0))),
+                        1: (qcurve(a6=1), INFINITY)}[expected]
+        assert point_order(curve, point, 20) == expected
+        with pytest.raises(ValueError, match="not an odd prime"):
+            point_order(curve, point, 20, expected)
+
 
 class TestHasOrder:
     """point_order with an expected odd prime n: the proof that P has order n,
@@ -506,12 +526,15 @@ class TestHasOrder:
         assert checked == 46
 
     def test_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
+        """The same four steps on three members of the family over Q(w)."""
         calls = record_add_points(monkeypatch)
-        _, curve, origin = sporadic_curve()
-        assert point_order(curve, origin, 20, expected=13) == 13
-        steps = ["double" if p == q else "add" for p, q in calls
-                 if not (p.is_infinity or q.is_infinity)]
-        assert steps == ["double", "double", "add", "add"]
+        for t in (Fraction(1), Fraction(3, 5), Fraction(-2)):
+            inst = build_family_instance(t)
+            calls.clear()
+            assert point_order(inst.curve, inst.point, 20, expected=13) == 13
+            steps = ["double" if p == q else "add" for p, q in calls
+                     if not (p.is_infinity or q.is_infinity)]
+            assert steps == ["double", "double", "add", "add"], t
 
     @pytest.mark.parametrize("n", [9, 2, 1, 0, -13, 15])
     def test_n_other_than_an_odd_prime_is_refused(self, n):
