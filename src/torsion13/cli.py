@@ -48,7 +48,9 @@ SEARCH_HEIGHT_CAP = 750
 # a sweep builds and verifies O(height^2) parameters; at the cap it takes 0.4 to 0.7 s
 # in process on the same machine
 SWEEP_HEIGHT_CAP = 36
-# the fingerprint tests every prime below the bound; its cost grows faster than the bound
+# the fingerprint tests every prime below the bound; its cost grows faster than the
+# bound.  verify-all and `sporadic verify` use the default bound.
+FINGERPRINT_BOUND = 1000
 FINGERPRINT_BOUND_CAP = 10000
 # a rational --t or --value reaches rational_roots, which lifts roots modulo one
 # prime, so its cost grows with the digits of the value, not with their divisors;
@@ -141,10 +143,6 @@ def _check_family_instance(t: Fraction):
     instance = family_mod.build_family_instance(t)
     outcome = family_mod.verify_family_instance(instance)
     return (PASS if outcome.passed else FAIL), _family_details(instance, outcome)
-
-
-def _check_fiber_classify(fiber_map: x13.FiberMap, value: Fraction):
-    return PASS, x13.classify_fiber(fiber_map, value)
 
 
 def _check_search(curve: str, height: int, emit):
@@ -265,7 +263,7 @@ def _run_verify_all(sink: ReportSink):
     sink.run_check("count.d2min.2", lambda: _check_count("d2min", 2, expect=3))
     sink.run_check("smooth.d2min.2", lambda: _check_smooth("d2min", 2, expect=True))
     sink.run_check("jacobian.19", lambda: _check_jacobian_divisibility(JACOBIAN_PRIMES))
-    _run_sporadic(sink, 1000)
+    _run_sporadic(sink, FINGERPRINT_BOUND)
 
 
 def _fraction(text: str) -> Fraction:
@@ -346,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     fiber_sub = p_fiber.add_subparsers(dest="verb", required=True)
     p_classify = fiber_sub.add_parser("classify", parents=[common])
     p_classify._negative_number_matcher = _NEGATIVE_RATIONAL
-    p_classify.add_argument("--map", choices=["y", "t"], required=True)
+    p_classify.add_argument("--map", choices=[m.value for m in x13.FiberMap], required=True)
     p_classify.add_argument("--value", type=_fraction, required=True)
 
     p_search = sub.add_parser("search", parents=[common], help="rational point search")
@@ -361,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sporadic = sub.add_parser("sporadic", parents=[common], help="the sporadic curve")
     sporadic_sub = p_sporadic.add_subparsers(dest="verb", required=True)
     p_sverify = sporadic_sub.add_parser("verify", parents=[common])
-    p_sverify.add_argument("--fingerprint-bound", default=1000,
+    p_sverify.add_argument("--fingerprint-bound", default=FINGERPRINT_BOUND,
                            type=_int_between(50, FINGERPRINT_BOUND_CAP))
 
     return parser
@@ -379,8 +377,8 @@ def main(argv=None) -> int:
         sink.run_check("family.sweep",
                        lambda: _check_family_sweep(args.height, sink.emit_raw))
     elif args.command == "fiber":
-        sink.run_check("fiber.classify", lambda: _check_fiber_classify(
-            x13.FiberMap(args.map), args.value))
+        sink.run_check("fiber.classify", lambda: (
+            PASS, x13.classify_fiber(x13.FiberMap(args.map), args.value)))
     elif args.command == "search":
         sink.run_check(f"search.{args.curve}",
                        lambda: _check_search(args.curve, args.height, sink.emit_raw))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import Record, Value, _is_prime
+from .polynomials import Record, Value, _is_prime, _power
 
 
 class SingularCurveError(ValueError):
@@ -174,19 +174,6 @@ def add_points(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePo
     return CurvePoint(x3, y3)
 
 
-def _multiple(curve: WeierstrassCurve, n: int, point: CurvePoint) -> CurvePoint:
-    """n*P for n >= 0 and a point already known to lie on the curve."""
-    result = INFINITY
-    addend = point
-    while n:
-        if n & 1:
-            result = add_points(curve, result, addend)
-        n >>= 1
-        if n:
-            addend = add_points(curve, addend, addend)
-    return result
-
-
 def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int,
                 expected: int | None = None) -> int:
     """Least n >= 1 with n*P = infinity, up to bound.
@@ -199,12 +186,12 @@ def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int,
     (k+1)P = -(k-1)P and (k+1)P = -kP.  Order n costs about n/2 additions.
 
     An odd prime `expected` = 2m + 1 up to bound is tried first, by a
-    proof: mP by double-and-add, then (m+1)P = mP + P.  Both affine with
-    x(mP) = x((m+1)P) means (m+1)P = +-mP, so nP = O with P affine, and n
-    is prime, so the order is exactly n; a point of order n passes.  For 13
-    that is 2 doublings and 2 additions, against 6 additions of the walk,
-    which runs only when the proof fails.  Any other expected raises
-    ValueError.
+    proof: mP by double-and-add (polynomials._power with add_points as its
+    op), then (m+1)P = mP + P.  Both affine with x(mP) = x((m+1)P) means
+    (m+1)P = +-mP, so nP = O with P affine, and n is prime, so the order
+    is exactly n; a point of order n passes.  For 13 that is 2 doublings
+    and 2 additions, against 6 additions of the walk, which runs only when
+    the proof fails.  Any other expected raises ValueError.
 
     >>> curve = tate_curve(Fraction(1), Fraction(1))  # (0, 0) has order 5
     >>> point_order(curve, tate_origin(curve), 20, expected=5) == 5
@@ -233,7 +220,7 @@ def point_order(curve: WeierstrassCurve, point: CurvePoint, bound: int,
 
 def _odd_prime_order(curve: WeierstrassCurve, point: CurvePoint, n: int) -> bool:
     """point_order's proof of odd prime order n, for an affine point on the curve."""
-    multiple = _multiple(curve, n // 2, point)
+    multiple = _power(point, n // 2, INFINITY, lambda p, q: add_points(curve, p, q))
     if multiple.is_infinity:
         return False
     following = add_points(curve, multiple, point)

@@ -8,24 +8,26 @@ elements).  FieldElement derives the rest once for every kind: _coerce (an
 operand or an element of the same field as an element of that field,
 ValueError for an element of another field of the same kind, None for any
 other type), == (False across fields) and hash, -, / (with an operand on
-either side) and ** (square and multiply; a negative exponent inverts
-first).  NumberFieldElement overrides - and / with integer kernels, so
-each of its + - * / builds one reduced element: an int or a Fraction
-operand scales the integer numerators and is never made an element, and
-a / b is one product with the adjugate of b.  Each field kind subclasses
-Field and defines _key and __call__; Field derives zero, one and _check,
-the one same-field test that every __call__ and kernel makes.  Fields and
-elements are immutable Values.  Curve and model code is generic over the
-elements, with Fraction itself serving as the field Q.
+either side) and ** (square and multiply by polynomials._power; a
+negative exponent inverts first).  NumberFieldElement overrides - and /
+with integer kernels, so each of its + - * / builds one reduced element:
+an int or a Fraction operand scales the integer numerators and is never
+made an element, and a / b is one product with the adjugate of b.  Each
+field kind subclasses Field and defines _key and __call__; Field derives
+zero, one and _check, the one same-field test that every __call__ and
+kernel makes.  Fields and elements are immutable Values.  Curve and model
+code is generic over the elements, with Fraction itself serving as the
+field Q.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polynomials import (Polynomial, Value, _is_prime, _roots_mod, discriminant_cubic,
-                          rational_roots)
+from .polynomials import (Polynomial, Value, _is_prime, _power, _roots_mod,
+                          discriminant_cubic, rational_roots)
 
 PRIME_CAP = 2**31
 
@@ -128,14 +130,7 @@ class FieldElement(Value):
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** -n
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one, operator.mul)
 
 
 class PrimeField(Field):
@@ -214,15 +209,16 @@ class PrimeFieldElement(FieldElement):
 
 
 def least_nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue of an odd prime, by linear scan from 2.
+    """Smallest quadratic non-residue of an odd prime: the least n >= 2 for
+    which x^2 - n has no root mod p, the irreducibility test that
+    QuadraticExtensionField makes of its modulus.
 
     Every residue mod 2 is a square, so p < 3 raises ValueError.
     """
     if p < 3:
         raise ValueError(f"every residue mod {p} is a square")
-    squares = {i * i % p for i in range(p)}
     n = 2
-    while n % p in squares:
+    while any(_roots_mod((-n, 0, 1), p)):
         n += 1
     return n
 
@@ -254,9 +250,6 @@ class QuadraticExtensionField(Field):
         if isinstance(value, (PrimeFieldElement, Fraction)):
             return ExtensionFieldElement(self, self.base(value).value, 0)
         return ExtensionFieldElement(self, value % self.p, 0)
-
-    def generator(self):
-        return ExtensionFieldElement(self, 0, 1)
 
     def elements(self):
         for c1 in range(self.p):
@@ -374,9 +367,6 @@ class NumberField(Field):
         if not den:
             raise ZeroDivisionError("zero denominator in number field")
         return _element(self, n0, n1, n2, den)
-
-    def generator(self) -> NumberFieldElement:
-        return self(0, 1)
 
     def _key(self):
         return self.minimal_polynomial

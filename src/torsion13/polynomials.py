@@ -26,6 +26,7 @@ Fraction and rational_roots both read it, through one binary-form kernel.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -74,6 +75,19 @@ class Record(Value):
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _power(x, n: int, one, op):
+    """x^n for n >= 0 under an associative op with identity one, by square and
+    multiply: x is squared only while higher bits of n remain."""
+    result = one
+    while n:
+        if n & 1:
+            result = op(result, x)
+        n >>= 1
+        if n:
+            x = op(x, x)
+    return result
 
 
 def _invert(c):
@@ -163,14 +177,7 @@ class Polynomial(Value):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial([1]), operator.mul)
 
     def __call__(self, x):
         """Evaluate by Horner's rule; the zero polynomial evaluates to plain 0.

@@ -124,7 +124,7 @@ def _first_disagreement(fp_a: dict, fp_b: dict) -> int | None:
     return next((p for p in sorted(set(fp_a) & set(fp_b)) if fp_a[p] != fp_b[p]), None)
 
 
-def fiber_field_evidence(bound: int = 1000) -> FingerprintReport:
+def fiber_field_evidence(bound: int) -> FingerprintReport:
     """Compare mod-p splitting of the -4/13 fiber cubic with the field cubic.
 
     Both cubics must be cyclic (square discriminant) and their root counts

@@ -8,7 +8,10 @@ rational points, and the two explicit degree-3 maps to the line:
 
 The discriminant loci of the two maps are the stored sextic d1(y) and the
 degree-9 d2(t); requiring squareness cuts out the auxiliary hyperelliptic
-curves searched for rational points.
+curves searched for rational points.  FIBERS holds each map's fiber
+coefficients over Q[parameter] and its stored locus, keyed by FiberMap;
+fiber_cubic, classify_fiber and verify_disc_identity read only that
+table, so another map is one FiberMap member and one FIBERS entry.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ class FiberMap(enum.Enum):
     T = "t"
 
 
+# each map's fiber: its x^0..x^3 coefficients in Q[parameter], and its
+# stored discriminant locus
+FIBERS = {
+    FiberMap.Y: ((qpoly(0, 1, 1), qpoly(-1), qpoly(-1, 1), qpoly(0, 1)), D1_POLY),
+    FiberMap.T: ((qpoly(-1, -1), qpoly(-2, 0, 1), qpoly(-1, 1), qpoly(0, 1)), D2_POLY),
+}
+
+
 class FiberKind(enum.Enum):
     RAMIFIED = "ramified"
     SPLIT_RATIONAL = "split_rational"
@@ -85,15 +96,8 @@ def fiber_cubic(fiber_map: FiberMap, value) -> Polynomial:
     the substitution y = x*t - 1 with the base-point factor x removed.
     """
     value = Fraction(value)
-    coeffs = symbolic_fiber_coefficients(fiber_map)
+    coeffs, _ = FIBERS[fiber_map]
     return _clear_denominators(Polynomial(c(value) for c in coeffs))
-
-
-def symbolic_fiber_coefficients(fiber_map: FiberMap):
-    """The x^0..x^3 coefficients of the fiber polynomial as elements of Q[parameter]."""
-    if fiber_map is FiberMap.Y:
-        return (qpoly(0, 1, 1), qpoly(-1), qpoly(-1, 1), qpoly(0, 1))
-    return (qpoly(-1, -1), qpoly(-2, 0, 1), qpoly(-1, 1), qpoly(0, 1))
 
 
 def classify_fiber(fiber_map: FiberMap, value) -> FiberClassification:
@@ -102,40 +106,34 @@ def classify_fiber(fiber_map: FiberMap, value) -> FiberClassification:
     A degree drop (vanishing x^3 coefficient) moves one point of the fiber
     to infinity; such fibers are classified from the lower-degree
     polynomial and are ramified as soon as a repeated point appears there
-    or the drop is by two or more degrees.
+    or the drop is by two or more degrees (discriminant 0).
     """
     value = Fraction(value)
     cubic = fiber_cubic(fiber_map, value)
-    if cubic.degree == 3:
-        disc = Fraction(discriminant_cubic(*reversed(cubic.coeffs)))
-        roots = tuple(sorted(rational_roots(cubic)))
-        square, _ = rat_is_square(disc)
-        if disc == 0:
-            kind = FiberKind.RAMIFIED
-        elif roots:
-            kind = FiberKind.SPLIT_RATIONAL
-        elif square:
-            kind = FiberKind.CYCLIC_CUBIC
-        else:
-            kind = FiberKind.NON_CYCLIC_CUBIC
-        return FiberClassification(fiber_map, value, kind, cubic, roots, disc,
-                                   square and disc != 0, False)
-    # degree drop: infinity absorbs 3 - deg points of the fiber
     if not cubic:
         raise ValueError("fiber polynomial vanished identically")
     degree = cubic.degree
     roots = tuple(sorted(rational_roots(cubic)))
-    if degree <= 1:
-        kind = FiberKind.RAMIFIED
-        disc = Fraction(0)
-        square = False
-    else:
-        a2, a1, a0 = Fraction(cubic[2]), Fraction(cubic[1]), Fraction(cubic[0])
+    if degree == 3:
+        disc = Fraction(discriminant_cubic(*reversed(cubic.coeffs)))
+    elif degree == 2:
+        a0, a1, a2 = (Fraction(c) for c in cubic.coeffs)
         disc = a1 * a1 - 4 * a2 * a0
-        square, _ = rat_is_square(disc)
-        kind = FiberKind.RAMIFIED if disc == 0 else FiberKind.DEGENERATE_DEGREE_DROP
+    else:
+        disc = Fraction(0)
+    square, _ = rat_is_square(disc)
+    if disc == 0:
+        kind = FiberKind.RAMIFIED
+    elif degree < 3:  # infinity absorbs 3 - degree points of the fiber
+        kind = FiberKind.DEGENERATE_DEGREE_DROP
+    elif roots:
+        kind = FiberKind.SPLIT_RATIONAL
+    elif square:
+        kind = FiberKind.CYCLIC_CUBIC
+    else:
+        kind = FiberKind.NON_CYCLIC_CUBIC
     return FiberClassification(fiber_map, value, kind, cubic, roots, disc,
-                               square and disc != 0, True)
+                               square and disc != 0, degree < 3)
 
 
 class DiscIdentityReport(Record):
@@ -153,8 +151,8 @@ def verify_disc_identity(fiber_map: FiberMap) -> DiscIdentityReport:
     coefficients in Q[parameter]; the quotient by the stored d1 or d2 must
     be the square of a rational function, and is recorded exactly.
     """
-    disc = discriminant_cubic(*reversed(symbolic_fiber_coefficients(fiber_map)))
-    stored = D1_POLY if fiber_map is FiberMap.Y else D2_POLY
+    coeffs, stored = FIBERS[fiber_map]
+    disc = discriminant_cubic(*reversed(coeffs))
     quotient = RationalFunction(disc, stored)
     sqrt_num = poly_sqrt(quotient.numerator)
     sqrt_den = poly_sqrt(quotient.denominator)

@@ -63,17 +63,35 @@ def record_add_points(monkeypatch):
 
 def expected_order_steps(n, order, bound):
     """add_points calls of point_order(curve, P, bound, expected=n) for P of the given
-    order, bound + 1 standing for any order above the bound.
+    order, any value above bound standing for an order above it.
 
-    The proof forms mP, n = 2m + 1, by double-and-add (one call per set bit of m
-    and one per doubling), then (m+1)P unless mP = O; the walk, which must run
-    exactly when the order is not n, adds P once per k up to order // 2.
+    The proof, tried only for n <= bound, forms mP, n = 2m + 1, by double-and-add
+    (one call per set bit of m and one per doubling), then (m+1)P unless mP = O;
+    the walk, which must run exactly when the proof does not find the order, adds
+    P once per k up to min(order, bound) // 2.
     """
     if order == 1:
         return 0
+    walk = min(order, bound) // 2
+    if n > bound:
+        return walk
     m = n // 2
     proof = m.bit_count() + m.bit_length() - 1 + (m % order != 0)
-    return proof + (0 if order == n else min(order, bound + 1) // 2)
+    return proof + (0 if order == n else walk)
+
+
+def check_every_expected_prime(curve, point, order, bound, calls):
+    """point_order(curve, point, bound, expected=n) for each odd prime n <= 13, given
+    the order (any value above bound for an order above it): its result, and its
+    add_points calls as expected_order_steps counts them."""
+    for n in (3, 5, 7, 11, 13):
+        calls.clear()
+        if order > bound:
+            with pytest.raises(OrderBoundExceededError):
+                point_order(curve, point, bound, expected=n)
+        else:
+            assert point_order(curve, point, bound, expected=n) == order, (point, n, bound)
+        assert len(calls) == expected_order_steps(n, order, bound), (point, n, order, bound)
 
 
 class TestInvariants:
@@ -334,7 +352,7 @@ def test_group_law_matches_chord_tangent_oracle(field_name):
                        for c in (r.x, r.y))
 
 
-class TestScalarMul:
+class TestMultiples:
     """Multiples n*P, built by repeated add_points."""
 
     def test_thirteen_kills_origin_on_sporadic_curve(self):
@@ -414,77 +432,14 @@ class TestPointOrder:
         assert kp[-1].is_infinity
         assert not any(q.is_infinity for q in kp[:-1])
 
-    def test_expected_order_agrees_with_the_walk_on_every_point(self):
-        """Every point of a curve over F_p for four primes p: an expected odd prime,
-        right or wrong, above the bound or not, never changes the order found."""
-        for p in (31, 41, 43, 59):
-            field = PrimeField(p)
-            elements = list(field.elements())
-            rng = random.Random(p)
-            while True:
-                try:
-                    curve = WeierstrassCurve(*(rng.choice(elements) for _ in range(5)))
-                    break
-                except SingularCurveError:
-                    continue
-            points = [INFINITY] + [CurvePoint(x, y) for x in elements for y in elements
-                                   if curve.is_on_curve(CurvePoint(x, y))]
-            for point in points:
-                for bound in (5, 12, 40):
-                    try:
-                        order = point_order(curve, point, bound)
-                    except OrderBoundExceededError:
-                        order = None
-                    for expected in (3, 5, 7, 11, 13):
-                        if order is None:
-                            with pytest.raises(OrderBoundExceededError):
-                                point_order(curve, point, bound, expected)
-                        else:
-                            assert point_order(curve, point, bound, expected) == order
-
-    def test_expected_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
-        calls = record_add_points(monkeypatch)
-        _, curve, origin = sporadic_curve()
-        assert point_order(curve, origin, 20, expected=13) == 13
-        steps = ["double" if p == q else "add" for p, q in calls
-                 if not (p.is_infinity or q.is_infinity)]
-        assert steps == ["double", "double", "add", "add"]
-
-    @pytest.mark.parametrize("expected", [9, 2, 1])
-    def test_expected_other_than_an_odd_prime_is_refused(self, expected):
-        """Refused even for a point whose order it is: infinity, a 2-torsion point,
-        and (0, 0) on the Tate curve b = 12, c = 4, which has order 9."""
-        tate = tate_curve(Fraction(12), Fraction(4))
-        curve, point = {9: (tate, tate_origin(tate)),
-                        2: (qcurve(a4=-1), CurvePoint(Fraction(0), Fraction(0))),
-                        1: (qcurve(a6=1), INFINITY)}[expected]
-        assert point_order(curve, point, 20) == expected
-        with pytest.raises(ValueError, match="not an odd prime"):
-            point_order(curve, point, 20, expected)
-
-
-class TestHasOrder:
-    """point_order with an expected odd prime n: the proof that P has order n,
-    and the walk that names the order, which runs exactly when the proof fails."""
-
-    PRIMES = (3, 5, 7, 11, 13)
-
-    def check_every_expected_prime(self, curve, point, order, calls):
-        """point_order(curve, point, 40, expected=n) for each n of PRIMES, given
-        the order (41 for any order above 40): its result and its add_points calls."""
-        for n in self.PRIMES:
-            calls.clear()
-            if order > 40:
-                with pytest.raises(OrderBoundExceededError):
-                    point_order(curve, point, 40, expected=n)
-            else:
-                assert point_order(curve, point, 40, expected=n) == order, (point, n)
-            assert len(calls) == expected_order_steps(n, order, 40), (point, n, order)
-
-    def test_agrees_with_point_order_on_every_point_over_prime_fields(self, monkeypatch):
-        """Every point of five curves over F_p for four primes p < 60, one of them
-        a short model.  The orders met include 1, 2, 6, 7, 12, 14 and some above 20;
-        for n = 13 the chain reaches infinity at 6P for order 6 and at 7P for order 7."""
+    def test_expected_order_agrees_with_the_walk_on_every_point(self, monkeypatch):
+        """Every point of five curves over F_p for four primes p < 60, the first a
+        short model: an expected odd prime, right or wrong, gives the order the walk
+        finds, or the same refusal above the bound, in the add_points calls that
+        expected_order_steps counts.  Bound 40 on every curve, and 5 and 12, which
+        some expected primes exceed, on the second curve of each field.  The orders
+        met include 1, 2, 6, 7, 12, 14 and some above 20; for n = 13 the chain
+        reaches infinity at 6P for order 6 and at 7P for order 7."""
         calls = record_add_points(monkeypatch)
         orders = set()
         for p in (31, 41, 43, 59):
@@ -509,11 +464,12 @@ class TestHasOrder:
                     except OrderBoundExceededError:
                         order = 41  # any order above the bound
                     orders.add(order)
-                    self.check_every_expected_prime(curve, point, order, calls)
-        assert {1, 2, 6, 7, 12, 14, *self.PRIMES} <= orders
+                    for bound in (5, 12, 40) if k == 1 else (40,):
+                        check_every_expected_prime(curve, point, order, bound, calls)
+        assert {1, 2, 3, 5, 6, 7, 11, 12, 13, 14} <= orders
         assert max(orders) > 20
 
-    def test_agrees_with_point_order_on_the_family(self, monkeypatch):
+    def test_expected_order_agrees_with_the_walk_on_the_family(self, monkeypatch):
         calls = record_add_points(monkeypatch)
         checked = 0
         for t in enumerate_rationals(6):
@@ -521,28 +477,39 @@ class TestHasOrder:
                 continue
             inst = build_family_instance(t)
             order = point_order(inst.curve, inst.point, 40)
-            self.check_every_expected_prime(inst.curve, inst.point, order, calls)
+            check_every_expected_prime(inst.curve, inst.point, order, 40, calls)
             checked += 1
         assert checked == 46
 
-    def test_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
-        """The same four steps on three members of the family over Q(w)."""
+    def test_expected_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
+        """On the sporadic curve over Q and on three members of the family over Q(w)."""
+        _, curve, origin = sporadic_curve()
+        cases = [(curve, origin)] + [
+            (inst.curve, inst.point) for inst in map(
+                build_family_instance, (Fraction(1), Fraction(3, 5), Fraction(-2)))]
         calls = record_add_points(monkeypatch)
-        for t in (Fraction(1), Fraction(3, 5), Fraction(-2)):
-            inst = build_family_instance(t)
+        for curve, point in cases:
             calls.clear()
-            assert point_order(inst.curve, inst.point, 20, expected=13) == 13
+            assert point_order(curve, point, 20, expected=13) == 13
             steps = ["double" if p == q else "add" for p, q in calls
                      if not (p.is_infinity or q.is_infinity)]
-            assert steps == ["double", "double", "add", "add"], t
+            assert steps == ["double", "double", "add", "add"], curve
 
-    @pytest.mark.parametrize("n", [9, 2, 1, 0, -13, 15])
-    def test_n_other_than_an_odd_prime_is_refused(self, n):
-        curve = tate_curve(Fraction(1), Fraction(1))
+    @pytest.mark.parametrize("expected", [9, 2, 1, 0, -13, 15])
+    def test_expected_other_than_an_odd_prime_is_refused(self, expected):
+        """Refused even for a point whose order it is: infinity, a 2-torsion point,
+        and (0, 0) on the Tate curve b = 12, c = 4, which has order 9.  0, -13 and
+        15 are refused for (0, 0) on the Tate curve b = c = 1, of order 5."""
+        tate9, tate5 = tate_curve(Fraction(12), Fraction(4)), tate_curve(Fraction(1), Fraction(1))
+        curve, point, order = {
+            9: (tate9, tate_origin(tate9), 9),
+            2: (qcurve(a4=-1), CurvePoint(Fraction(0), Fraction(0)), 2),
+            1: (qcurve(a6=1), INFINITY, 1)}.get(expected, (tate5, tate_origin(tate5), 5))
+        assert point_order(curve, point, 20) == order
         with pytest.raises(ValueError, match="not an odd prime"):
-            point_order(curve, tate_origin(curve), 20, expected=n)
+            point_order(curve, point, 20, expected)
 
-    def test_point_off_the_curve_is_refused(self):
+    def test_expected_order_refuses_a_point_off_the_curve(self):
         with pytest.raises(PointNotOnCurveError):
             point_order(qcurve(a6=1), CurvePoint(Fraction(1), Fraction(1)), 20, expected=13)
 

@@ -49,7 +49,7 @@ def reference_instance(t: Fraction) -> dict:
     by element arithmetic in Q(w)."""
     a_value, b_value = A_FUNCTION(t), B_FUNCTION(t)
     a4, a6 = -27 * a_value, 54 * (t * t + 1) * b_value
-    w = NumberField(w_cubic(t)).generator()
+    w = NumberField(w_cubic(t))(0, 1)
     den = DENOMINATOR_QUARTIC(t)
     return {"a_value": a_value, "b_value": b_value, "a4": a4, "a6": a6,
             "disc": -16 * (4 * a4 ** 3 + 27 * a6 ** 2),

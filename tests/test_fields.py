@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from torsion13.fields import (BadReductionError,
+from torsion13.fields import (BadReductionError, ExtensionFieldElement,
                               NumberField, PrimeField,
                               QuadraticExtensionField, build_quadratic_extension,
                               least_nonresidue, splitting_fingerprint)
@@ -45,7 +45,7 @@ def protocol_cases():
     """(field, a, b, p) for each field kind; b is nonzero, p is None over Q."""
     f7, f49, f4 = PrimeField(7), build_quadratic_extension(7), build_quadratic_extension(2)
     k, w_field = NumberField(K_POLY), NumberField(w_cubic(Fraction(3, 5)))
-    xi, eta = f49.generator(), f4.generator()
+    xi, eta = ExtensionFieldElement(f49, 0, 1), ExtensionFieldElement(f4, 0, 1)
     return [
         pytest.param(f7, f7(3), f7(5), 7, id="F_7"),
         pytest.param(f49, 2 * xi + 3, 4 * xi + 1, 7, id="F_7^2"),
@@ -79,7 +79,7 @@ def test_field_element_protocol(field, a, b, p):
 
 def test_prime_field_elements_coerce_into_the_quadratic_extension():
     f7, f49 = PrimeField(7), build_quadratic_extension(7)
-    xi = f49.generator()
+    xi = ExtensionFieldElement(f49, 0, 1)
     assert f7(3) == f49(3) and f49(3) == f7(3)
     assert f7(3) != xi and xi != f7(3)
     for got in (f7(3) + xi, xi * f7(3)):
@@ -91,7 +91,7 @@ def test_an_element_of_f_p_in_f_p2_hashes_as_in_f_p():
     f7, f49 = PrimeField(7), build_quadratic_extension(7)
     assert f49(3) == f7(3) == 3 and hash(f49(3)) == hash(f7(3)) == hash(3)
     assert len({f49(3), f7(3), 3}) == 1
-    assert len({f49(3) + f49.generator(), f7(3)}) == 2
+    assert len({f49(3) + ExtensionFieldElement(f49, 0, 1), f7(3)}) == 2
     # an F_p element also equals every other int of its class, which hash apart
     assert f7(3) == 10 and hash(10) != hash(f7(3))
 
@@ -234,6 +234,15 @@ class TestQuadraticExtension:
         ext = build_quadratic_extension(13)
         assert (ext.a0, ext.a1) == (11, 0)  # x^2 - 2
 
+    def test_least_nonresidue_by_eulers_criterion_below_2000(self):
+        """n is a non-residue of an odd prime p exactly when n^((p-1)/2) = -1 mod p."""
+        primes = primes_upto(2000)[1:]
+        assert len(primes) == 302
+        for p in primes:
+            n = least_nonresidue(p)
+            assert pow(n, (p - 1) // 2, p) == p - 1, p
+            assert all(pow(m, (p - 1) // 2, p) == 1 for m in range(2, n)), p
+
     @pytest.mark.parametrize("p", [2, 1])
     def test_least_nonresidue_refuses_p_below_3(self, p):
         """Every residue mod 2 and mod 1 is a square, so the scan would never stop."""
@@ -246,7 +255,7 @@ class TestQuadraticExtension:
 
     def test_xi_inverse_in_f9(self):
         ext = build_quadratic_extension(3)  # xi^2 = -1
-        xi = ext.generator()
+        xi = ExtensionFieldElement(ext, 0, 1)
         assert xi.inverse() == -xi
         # oracle: exhaust all nine elements
         inverses = [e for e in ext.elements() if e * xi == ext.one]
@@ -284,7 +293,7 @@ class TestNumberField:
             NumberField(qpoly(1, 0, 0, 2))  # not monic
 
     def test_alpha_inverse(self, K):
-        alpha = K.generator()
+        alpha = K(0, 1)
         expected = K(Fraction(82, 64), Fraction(1, 64), Fraction(-1, 64))
         assert alpha.inverse() == expected
         assert alpha * expected == K.one
@@ -298,7 +307,7 @@ class TestNumberField:
 
     def test_is_rational(self, K):
         assert K(Fraction(5, 7)).is_rational()
-        assert not K.generator().is_rational()
+        assert not K(0, 1).is_rational()
         b = K(Fraction(-1936, 19773), Fraction(90, 19773), Fraction(10, 19773))
         assert not b.is_rational()
 
@@ -359,7 +368,7 @@ class TestNonIntegralNumberField:
     def test_canonical_form(self, L):
         assert L(Fraction(2, 4)) == L(Fraction(1, 2))
         assert hash(L(Fraction(2, 4))) == hash(L(Fraction(1, 2)))
-        w = L.generator()
+        w = L(0, 1)
         scaled = (w * 6 + 4) * Fraction(1, 6) - Fraction(2, 3)
         assert scaled == w and hash(scaled) == hash(w)
         assert (w * w.inverse()).coords == (1, 0, 0)
@@ -368,15 +377,15 @@ class TestNonIntegralNumberField:
         with pytest.raises(ZeroDivisionError):
             L.zero.inverse()
         with pytest.raises(ZeroDivisionError):
-            L.one / (L.generator() - L.generator())
+            L.one / (L(0, 1) - L(0, 1))
 
     def test_mixing_fields_rejected(self, L, K):
         with pytest.raises(ValueError):
-            L.generator() + K.generator()
+            L(0, 1) + K(0, 1)
         with pytest.raises(ValueError):
-            L.generator() * K.generator()
+            L(0, 1) * K(0, 1)
         with pytest.raises(ValueError):
-            K(L.generator())
+            K(L(0, 1))
 
 
 class TestSplittingFingerprint:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,10 @@ import pytest
 from torsion13.polynomials import (Polynomial, discriminant_cubic,
                                    enumerate_rationals, qpoly, rat_is_square,
                                    rational_roots)
-from torsion13.x13 import (D1_POLY, D2_POLY, FiberKind, FiberMap,
+from torsion13.reports import ReportSink
+from torsion13.x13 import (D1_POLY, D2_POLY, FIBERS, FiberKind, FiberMap,
                            X13_MODEL, X13_RATIONAL_POINTS, classify_fiber,
-                           fiber_cubic, nineteen_divisibility,
-                           symbolic_fiber_coefficients, verify_disc_identity)
+                           fiber_cubic, nineteen_divisibility, verify_disc_identity)
 
 
 class TestConstants:
@@ -135,7 +136,7 @@ class TestDiscIdentity:
 
     def test_symbolic_coefficients_specialize(self):
         for fmap in FiberMap:
-            a0, a1, a2, a3 = symbolic_fiber_coefficients(fmap)
+            (a0, a1, a2, a3), _ = FIBERS[fmap]
             for v in (Fraction(2), Fraction(-5, 7)):
                 direct = fiber_cubic(fmap, v)
                 sym = Polynomial([a0(v), a1(v), a2(v), a3(v)])
@@ -166,6 +167,16 @@ class TestSweep:
     def test_t_map_never_cyclic_height_12(self):
         sweep = {v: classify_fiber(FiberMap.T, v) for v in enumerate_rationals(12)}
         assert all(c.kind is not FiberKind.CYCLIC_CUBIC for c in sweep.values())
+
+    def test_wire_form_is_frozen_for_both_maps_at_height_12(self, capsys):
+        """Every field of every fiber, the degree drops at y = 0 and t = 0 and the
+        ramified fibers at y = -1 and t = -1 among them, as the report stream writes it."""
+        sink = ReportSink({}, json_only=True)
+        for fmap in FiberMap:
+            for v in enumerate_rationals(12):
+                sink.emit_raw(classify_fiber(fmap, v))
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "8a86efe2d9fa3c349cf58cb774449a5a8750b0e67ba19172e443d9c31d06bd07"
 
     def test_squareness_routes_agree(self):
         # for a non-degenerate irreducible fiber: disc square <=> d1 square
