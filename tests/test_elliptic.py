@@ -432,7 +432,11 @@ class TestPointOrder:
         assert kp[-1].is_infinity
         assert not any(q.is_infinity for q in kp[:-1])
 
-    def test_expected_order_agrees_with_the_walk_on_every_point(self, monkeypatch):
+class TestHasOrder:
+    """point_order given an expected odd prime: the four-step proof that replaced
+    has_order, checked against the walk."""
+
+    def test_agrees_with_point_order_on_every_point_over_prime_fields(self, monkeypatch):
         """Every point of five curves over F_p for four primes p < 60, the first a
         short model: an expected odd prime, right or wrong, gives the order the walk
         finds, or the same refusal above the bound, in the add_points calls that
@@ -469,7 +473,7 @@ class TestPointOrder:
         assert {1, 2, 3, 5, 6, 7, 11, 12, 13, 14} <= orders
         assert max(orders) > 20
 
-    def test_expected_order_agrees_with_the_walk_on_the_family(self, monkeypatch):
+    def test_agrees_with_point_order_on_the_family(self, monkeypatch):
         calls = record_add_points(monkeypatch)
         checked = 0
         for t in enumerate_rationals(6):
@@ -481,7 +485,7 @@ class TestPointOrder:
             checked += 1
         assert checked == 46
 
-    def test_expected_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
+    def test_order_13_takes_two_doublings_and_two_additions(self, monkeypatch):
         """On the sporadic curve over Q and on three members of the family over Q(w)."""
         _, curve, origin = sporadic_curve()
         cases = [(curve, origin)] + [
@@ -496,7 +500,7 @@ class TestPointOrder:
             assert steps == ["double", "double", "add", "add"], curve
 
     @pytest.mark.parametrize("expected", [9, 2, 1, 0, -13, 15])
-    def test_expected_other_than_an_odd_prime_is_refused(self, expected):
+    def test_n_other_than_an_odd_prime_is_refused(self, expected):
         """Refused even for a point whose order it is: infinity, a 2-torsion point,
         and (0, 0) on the Tate curve b = 12, c = 4, which has order 9.  0, -13 and
         15 are refused for (0, 0) on the Tate curve b = c = 1, of order 5."""
@@ -509,7 +513,7 @@ class TestPointOrder:
         with pytest.raises(ValueError, match="not an odd prime"):
             point_order(curve, point, 20, expected)
 
-    def test_expected_order_refuses_a_point_off_the_curve(self):
+    def test_point_off_the_curve_is_refused(self):
         with pytest.raises(PointNotOnCurveError):
             point_order(qcurve(a6=1), CurvePoint(Fraction(1), Fraction(1)), 20, expected=13)
 
