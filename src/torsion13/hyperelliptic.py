@@ -8,8 +8,10 @@ The U = 0 fiber of that chart carries the points at infinity.
 One enumerator walks the reduced curve over F_p or F_{p^2}: every u on
 the affine chart, then U = 0 on the infinity chart, solving the quadratic
 in v at each u from a table of square (or Artin-Schreier) roots, so a walk
-costs O(q).  Point counts, the set of points mod p and the good-reduction
-test all read it.
+costs O(q).  Point counts and the set of points mod p read it.
+Good reduction is decided without points, by one gcd per chart: the
+criterion that the constructor applies over Q, applied to both reduced
+charts over F_p.
 The genus-2 Jacobian order comes from the zeta-function bookkeeping
 N1, N2 -> (s1, s2) -> P(1).
 """
@@ -32,7 +34,7 @@ class ModelPoint(Record):
 class HyperellipticModel(Value):
     """Smooth hyperelliptic model (f, h) with genus floor((deg(h^2+4f)-1)/2)."""
 
-    __slots__ = ("f", "h", "branch", "genus", "weight")
+    __slots__ = ("f", "h", "branch", "genus", "charts")
 
     def __init__(self, f: Polynomial, h: Polynomial):
         f = f.map_coefficients(Fraction)
@@ -40,7 +42,7 @@ class HyperellipticModel(Value):
         branch = h * h + 4 * f
         if not branch:
             raise ValueError("h^2 + 4f vanishes identically")
-        if poly_gcd(branch, branch.derivative()).degree > 0:
+        if not _is_smooth_chart(f, h, 0):
             raise ValueError("h^2 + 4f is not squarefree: singular model")
         genus = (branch.degree - 1) // 2
         if genus < 1:
@@ -51,16 +53,12 @@ class HyperellipticModel(Value):
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "branch", branch)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "weight", genus + 1)
+        object.__setattr__(self, "charts", (
+            ("affine", f, h),
+            ("infinity", f.reversed(2 * genus + 2), h.reversed(genus + 1))))
 
     def _key(self):
         return self.f, self.h
-
-    def infinity_chart(self):
-        """The transformed pair (ft, ht) describing the curve near infinity."""
-        ft = self.f.reversed(2 * self.genus + 2)
-        ht = self.h.reversed(self.weight)
-        return ft, ht
 
     def points_at_infinity(self):
         """Rational points in the U = 0 fiber of the infinity chart.
@@ -72,28 +70,42 @@ class HyperellipticModel(Value):
         if not ok:
             return []
         return [ModelPoint("infinity", Fraction(0), v)
-                for v in _quadratic_roots(Fraction(self.h[self.weight]), s)]
+                for v in _quadratic_roots(Fraction(self.h[self.genus + 1]), s)]
 
     def satisfies(self, point: ModelPoint) -> bool:
-        if point.chart == "affine":
-            return point.v**2 + self.h(point.u) * point.v == self.f(point.u)
-        ft, ht = self.infinity_chart()
-        return point.v**2 + ht(point.u) * point.v == ft(point.u)
+        f, h = next((f, h) for chart, f, h in self.charts if chart == point.chart)
+        return point.v**2 + h(point.u) * point.v == f(point.u)
 
     def reduce_coefficients(self, field):
-        """Both charts' polynomials with coefficients mapped into a finite field."""
+        """The charts (name, f, h) with coefficients mapped into a finite field."""
         try:
-            fbar = self.f.map_coefficients(field)
-            hbar = self.h.map_coefficients(field)
-            ft, ht = self.infinity_chart()
-            ftbar = ft.map_coefficients(field)
-            htbar = ht.map_coefficients(field)
+            return tuple((chart, f.map_coefficients(field), h.map_coefficients(field))
+                         for chart, f, h in self.charts)
         except BadReductionError as exc:
             raise BadReductionError(f"model has bad reduction: {exc}") from exc
-        return fbar, hbar, ftbar, htbar
 
     def __repr__(self):
         return f"HyperellipticModel(f={self.f}, h={self.h}, genus={self.genus})"
+
+
+def _is_smooth_chart(f: Polynomial, h: Polynomial, characteristic: int) -> bool:
+    """Whether the affine curve v^2 + h(u)v = f(u) over a field of the given
+    characteristic has no singular point, over the field's algebraic closure.
+
+    Outside characteristic 2, v -> 2v + h(u) turns the curve into
+    w^2 = B(u), B = h^2 + 4f, which is singular exactly at the repeated
+    roots of B: smooth iff gcd(B, B') = 1.  In characteristic 2 a singular
+    point has h(u) = 0 and h'(u)v = f'(u) with v = sqrt(f(u)) unique, so
+    squaring gives h'(u)^2 f(u) + f'(u)^2 = 0: smooth iff
+    gcd(h, h'^2 f + f'^2) = 1.  The gcd is zero (degree -inf), so singular,
+    when B = 0, or when h = f' = 0 in characteristic 2.
+    """
+    if characteristic == 2:
+        dh = h.derivative()
+        df = f.derivative()
+        return poly_gcd(h, dh * dh * f + df * df).degree == 0
+    branch = h * h + 4 * f
+    return poly_gcd(branch, branch.derivative()).degree == 0
 
 
 def _quadratic_roots(h0: Fraction, s: Fraction):
@@ -104,13 +116,12 @@ def _quadratic_roots(h0: Fraction, s: Fraction):
 
 
 def _reduced_points(model: HyperellipticModel, field):
-    """Yield (chart, f, h, u, v) for every point of the curve over a finite field.
+    """Yield (chart, u, v) for every point of the curve over a finite field.
 
-    f and h are the chart's reduced polynomials.  The affine chart is
-    walked for every u; the infinity chart only at U = 0, which is exactly
-    the locus the affine chart misses.  At each u the quadratic
-    v^2 + h(u)v = f(u) is solved from one root table built per call, so the
-    walk costs O(q) field operations:
+    The affine chart is walked for every u; the infinity chart only at
+    U = 0, which is exactly the locus the affine chart misses.  At each u
+    the quadratic v^2 + h(u)v = f(u) is solved from one root table built
+    per call, so the walk costs O(q) field operations:
 
     - odd q: the table maps c to the x with x^2 = c, and the points are
       v = (x - h(u))/2 for x^2 = h(u)^2 + 4f(u);
@@ -118,7 +129,7 @@ def _reduced_points(model: HyperellipticModel, field):
       If h(u) = 0 the one point is v = sqrt(f(u)) = f(u)^(q/2); otherwise
       the points are v = h(u)w for w^2 + w = f(u)/h(u)^2.
     """
-    fbar, hbar, ftbar, htbar = model.reduce_coefficients(field)
+    affine, infinity = model.reduce_coefficients(field)
     elements = list(field.elements())
     q = len(elements)
     odd = q % 2 == 1
@@ -126,8 +137,7 @@ def _reduced_points(model: HyperellipticModel, field):
     for x in elements:
         roots.setdefault(x * x if odd else x * x + x, []).append(x)
     half = field.one / 2 if odd else None
-    for chart, f, h, us in (("affine", fbar, hbar, elements),
-                            ("infinity", ftbar, htbar, [field.zero])):
+    for (chart, f, h), us in ((affine, elements), (infinity, [field.zero])):
         for u in us:
             fu, hu = field(f(u)), field(h(u))
             if odd:
@@ -137,7 +147,7 @@ def _reduced_points(model: HyperellipticModel, field):
             else:
                 vs = [fu ** (q // 2)]
             for v in vs:
-                yield chart, f, h, u, v
+                yield chart, u, v
 
 
 def count_points(model: HyperellipticModel, field) -> int:
@@ -146,19 +156,10 @@ def count_points(model: HyperellipticModel, field) -> int:
 
 
 def is_smooth_mod_p(model: HyperellipticModel, p: int) -> bool:
-    """Good reduction test: no singular point on either chart of the curve mod p.
-
-    A point of F = v^2 + hv - f is singular when dF/dv = 2v + h(u) and
-    dF/du = h'(u)v - f'(u) both vanish there.
-    """
-    partials = {}  # chart -> (h', f'), computed once per chart
-    for chart, f, h, u, v in _reduced_points(model, PrimeField(p)):
-        if chart not in partials:
-            partials[chart] = (h.derivative(), f.derivative())
-        dh, df = partials[chart]
-        if not (2 * v + h(u)) and dh(u) * v == df(u):
-            return False
-    return True
+    """Good reduction test: both charts of the curve mod p are smooth, over the
+    algebraic closure of F_p, by one gcd each."""
+    return all(_is_smooth_chart(f, h, p)
+               for _, f, h in model.reduce_coefficients(PrimeField(p)))
 
 
 def search_rational_points(model: HyperellipticModel, height: int):
@@ -211,16 +212,11 @@ def mod_p_residues(model: HyperellipticModel, points, p: int):
     coordinate has a denominator divisible by p.
     """
     field = PrimeField(p)
-    out = set()
-    for pt in points:
-        if pt.chart == "affine":
-            out.add(("affine", field(Fraction(pt.u)).value, field(Fraction(pt.v)).value))
-        else:
-            out.add(("infinity", 0, field(Fraction(pt.v)).value))
-    return out
+    return {(pt.chart, field(Fraction(pt.u)).value, field(Fraction(pt.v)).value)
+            for pt in points}
 
 
 def points_mod_p(model: HyperellipticModel, p: int):
     """All points of the reduced curve over F_p, as hashable tuples (same keys as residues)."""
     return {(chart, u.value, v.value)
-            for chart, _, _, u, v in _reduced_points(model, PrimeField(p))}
+            for chart, u, v in _reduced_points(model, PrimeField(p))}

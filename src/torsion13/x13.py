@@ -169,8 +169,6 @@ def nineteen_divisibility(primes) -> dict:
     """For each good odd prime, the Jacobian order of X over F_p and whether 19 divides it."""
     out = {}
     for p in primes:
-        if p == 13:
-            raise ValueError("13 is the bad prime of the model")
         order = jacobian_order_fp(X13_MODEL, p)
         out[p] = {"jacobian_order": order, "divisible_by_19": order % 19 == 0}
     return out

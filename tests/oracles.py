@@ -110,21 +110,9 @@ def primitive_prs_gcd(a, b):
     return a
 
 
-def count_curve_points(f, h, genus, p, squared=False):
-    """#C(F_q) for v^2 + h(u)v = f(u) by an integer double loop, q = p or p^2.
-
-    f, h: integer coefficient lists (constant first) of the Q-model;
-    the infinity chart uses the Q-model genus.
-    """
-    deg_f = 2 * genus + 2
-    deg_h = genus + 1
-    ft = [0] * (deg_f + 1)
-    for i, c in enumerate(f):
-        ft[deg_f - i] = c
-    ht = [0] * (deg_h + 1)
-    for i, c in enumerate(h):
-        ht[deg_h - i] = c
-
+def _finite_field(p, squared):
+    """(elements, zero, add, mul, neg, evaluate) for F_p as integers mod p, or for
+    F_{p^2} as pairs (a, b) = a + b*xi, xi^2 = xi + 1 (p = 2) or a non-residue."""
     if not squared:
         def mul(x, y):
             return x * y % p
@@ -134,6 +122,9 @@ def count_curve_points(f, h, genus, p, squared=False):
 
         def embed(c):
             return c % p
+
+        def neg(x):
+            return -x % p
 
         elements = list(range(p))
         zero = 0
@@ -161,6 +152,9 @@ def count_curve_points(f, h, genus, p, squared=False):
         def embed(c):
             return (c % p, 0)
 
+        def neg(x):
+            return ((-x[0]) % p, (-x[1]) % p)
+
         elements = [(i, j) for i in range(p) for j in range(p)]
         zero = (0, 0)
 
@@ -170,10 +164,24 @@ def count_curve_points(f, h, genus, p, squared=False):
             acc = add(mul(acc, x), embed(c))
         return acc
 
-    def neg(x):
-        if squared:
-            return ((-x[0]) % p, (-x[1]) % p)
-        return -x % p
+    return elements, zero, add, mul, neg, evaluate
+
+
+def count_curve_points(f, h, genus, p, squared=False):
+    """#C(F_q) for v^2 + h(u)v = f(u) by an integer double loop, q = p or p^2.
+
+    f, h: integer coefficient lists (constant first) of the Q-model;
+    the infinity chart uses the Q-model genus.
+    """
+    deg_f = 2 * genus + 2
+    deg_h = genus + 1
+    ft = [0] * (deg_f + 1)
+    for i, c in enumerate(f):
+        ft[deg_f - i] = c
+    ht = [0] * (deg_h + 1)
+    for i, c in enumerate(h):
+        ht[deg_h - i] = c
+    elements, zero, add, mul, neg, evaluate = _finite_field(p, squared)
 
     total = 0
     for u in elements:
@@ -188,6 +196,58 @@ def count_curve_points(f, h, genus, p, squared=False):
         if add(add(mul(v, v), mul(h0, v)), neg(f0)) == zero:
             total += 1
     return total
+
+
+def singular_affine_points(f, h, p, squared=False):
+    """The (u, v) over F_q, q = p or p^2, where F = v^2 + h(u)v - f(u) and both
+    partials dF/du = h'(u)v - f'(u) and dF/dv = 2v + h(u) vanish, by a double loop.
+
+    f, h: integer coefficient lists (constant first).
+    """
+    df = [i * c for i, c in enumerate(f)][1:]
+    dh = [i * c for i, c in enumerate(h)][1:]
+    elements, zero, add, mul, neg, evaluate = _finite_field(p, squared)
+    two = evaluate([2], zero)
+    return [(u, v) for u in elements for v in elements
+            if add(add(mul(v, v), mul(evaluate(h, u), v)), neg(evaluate(f, u))) == zero
+            and add(mul(evaluate(dh, u), v), neg(evaluate(df, u))) == zero
+            and add(mul(two, v), evaluate(h, u)) == zero]
+
+
+def binary_form_discriminant(coeffs, degree):
+    """Discriminant, up to sign, of sum coeffs[i] x^i y^(degree - i), a binary form.
+
+    coeffs: ints or Fractions, constant term first.  With a nonzero top
+    coefficient a this is Res(F, F')/a, F the polynomial in x.  A zero top
+    coefficient makes y a factor: the discriminant is then lead^2 times that
+    of the degree-(degree - 1) polynomial, lead its leading coefficient, and
+    it is 0 when y^2 divides the form.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    n = len(coeffs) - 1
+    if n < degree - 1:
+        return Fraction(0)
+    derivative = [i * c for i, c in enumerate(coeffs)][1:]
+    disc = sylvester_resultant(coeffs, derivative) / coeffs[-1]
+    return disc if n == degree else coeffs[-1] ** 2 * disc
+
+
+def branch_discriminant(f, h, genus):
+    """Discriminant, up to sign, of h^2 + 4f as a binary form of degree 2g + 2.
+
+    An odd prime p not dividing any denominator is a prime of good
+    reduction of v^2 + h(u)v = f(u) exactly when it does not divide this.
+    f, h: coefficient lists (ints or Fractions, constant first).
+    """
+    branch = [0] * (max(len(f), 2 * len(h) - 1))
+    for i, c in enumerate(f):
+        branch[i] += 4 * c
+    for i, a in enumerate(h):
+        for j, b in enumerate(h):
+            branch[i + j] += a * b
+    return binary_form_discriminant(branch, 2 * genus + 2)
 
 
 def divisor_class_count(f, h, p):

@@ -449,6 +449,10 @@ class TestHasOrder:
         for p in (31, 41, 43, 59):
             field = PrimeField(p)
             elements = list(field.elements())
+            square_roots = {}
+            for y in elements:
+                square_roots.setdefault(y * y, []).append(y)
+            half = field.one / 2
             rng = random.Random(p)
             for k in range(5):
                 while True:
@@ -460,8 +464,14 @@ class TestHasOrder:
                         break
                     except SingularCurveError:
                         continue
-                points = [INFINITY] + [CurvePoint(x, y) for x in elements for y in elements
-                                       if curve.is_on_curve(CurvePoint(x, y))]
+                # y^2 + by = c for b = a1 x + a3 and c = x^3 + a2 x^2 + a4 x + a6
+                # has the roots y = (s - b)/2 for s^2 = b^2 + 4c
+                points = [INFINITY] + [
+                    CurvePoint(x, (s - b) * half)
+                    for x in elements for b in [a1 * x + a3]
+                    for s in square_roots.get(b * b + 4 * (x * x * x + a2 * x * x + a4 * x + a6),
+                                              ())]
+                assert all(curve.is_on_curve(point) for point in points)
                 for point in points:
                     try:
                         order = point_order(curve, point, 40)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsion13.cli import MODELS
 from torsion13.fields import BadReductionError, PrimeField, build_quadratic_extension
 from torsion13.hyperelliptic import (HyperellipticModel, ModelPoint, _reduced_points,
                                      count_points, is_smooth_mod_p,
@@ -11,7 +12,8 @@ from torsion13.hyperelliptic import (HyperellipticModel, ModelPoint, _reduced_po
 from torsion13.polynomials import Polynomial, qpoly
 from torsion13.x13 import D1_MODEL, D2_MIN_MODEL, D2_RAW_MODEL, X13_MODEL
 
-from oracles import count_curve_points, divisor_class_count, primes_upto, search_points
+from oracles import (branch_discriminant, count_curve_points, divisor_class_count,
+                     primes_upto, search_points, singular_affine_points)
 
 
 def int_coeffs(poly):
@@ -44,7 +46,7 @@ class TestInfinityChart:
         assert len(pts) == 2
         assert {p.v for p in pts} == {0, -1}
         # chart data: ht(0) = leading x^3 coefficient of h, ft(0) = 0
-        ft, ht = X13_MODEL.infinity_chart()
+        _, (_, ft, ht) = X13_MODEL.charts
         assert ht(Fraction(0)) == 1 and ft(Fraction(0)) == 0
 
     def test_odd_degree_single_point(self):
@@ -134,6 +136,50 @@ class TestSmoothness:
     def test_d1_good_at_sieve_primes(self):
         for p in (3, 7, 11):
             assert is_smooth_mod_p(D1_MODEL, p)
+
+
+# smooth over Q, singular mod p only at points over F_{p^2}: mod 5 the factor
+# u^2 + 5u - 3 becomes u^2 - 3, which is irreducible there, and mod 2
+# h = u^2 + u + 1 vanishes at the two points of F_4 outside F_2, where
+# h'^2 f + f'^2 = u^5 + u^8 vanishes too
+SQUARED_FACTOR_MOD_5 = HyperellipticModel(
+    f=qpoly(-3, 0, 1) * qpoly(-3, 5, 1) * qpoly(-7, 1), h=Polynomial())
+SINGULAR_OVER_F4 = HyperellipticModel(f=qpoly(0, 0, 0, 0, 0, 1), h=qpoly(1, 1, 1))
+
+
+class TestGoodReduction:
+    def test_bad_primes_of_the_shipped_models_up_to_1000(self):
+        bad = {name: [p for p in primes_upto(1000) if not is_smooth_mod_p(model, p)]
+               for name, model in MODELS.items()}
+        assert bad == {"d1": [2, 13, 19], "d2": [2, 13, 181], "d2min": [13, 181], "x": [13]}
+
+    @pytest.mark.parametrize("model, p", [(SQUARED_FACTOR_MOD_5, 5), (SINGULAR_OVER_F4, 2)])
+    def test_singular_point_only_over_the_quadratic_extension(self, model, p):
+        f, h = int_coeffs(model.f), int_coeffs(model.h)
+        assert singular_affine_points(f, h, p) == []
+        assert singular_affine_points(f, h, p, squared=True)
+        assert not is_smooth_mod_p(model, p)
+        with pytest.raises(BadReductionError):
+            jacobian_order_fp(model, p)
+
+    def test_shipped_models_agree_with_the_discriminant_at_odd_primes(self):
+        for model in MODELS.values():
+            disc = branch_discriminant(model.f.coeffs, model.h.coeffs, model.genus)
+            for p in primes_upto(1000)[1:]:
+                assert is_smooth_mod_p(model, p) == (disc.numerator % p != 0), p
+
+    def test_random_models_agree_with_the_discriminant(self):
+        rng = random.Random(23)
+        models = [SQUARED_FACTOR_MOD_5] + [model for genus in (2, 3) for with_h in (False, True)
+                                           for model in random_models(rng, 6, genus, with_h)]
+        outcomes = set()
+        for model in models:
+            disc = branch_discriminant(model.f.coeffs, model.h.coeffs, model.genus)
+            for p in (3, 5, 7, 11):
+                smooth = is_smooth_mod_p(model, p)
+                assert smooth == (disc.numerator % p != 0), (model, p)
+                outcomes.add(smooth)
+        assert outcomes == {False, True}
 
 
 class TestSearch:
@@ -315,7 +361,7 @@ class TestRootTableEnumerator:
                 oracle = count_curve_points(int_coeffs(model.f), int_coeffs(model.h),
                                             model.genus, 2, squared=squared)
                 assert count_points(model, field) == oracle
-                _, hbar, _, htbar = model.reduce_coefficients(field)
+                (_, _, hbar), (_, _, htbar) = model.reduce_coefficients(field)
                 values = [hbar(u) for u in field.elements()] + [htbar(field.zero)]
                 branches[field.order()] |= {bool(value) for value in values}
         assert branches == {2: {False, True}, 4: {False, True}}
@@ -326,13 +372,13 @@ class TestRootTableEnumerator:
         for model in models:
             for field in (PrimeField(2), build_quadratic_extension(2),
                           PrimeField(3), build_quadratic_extension(3)):
-                fbar, hbar, ftbar, htbar = model.reduce_coefficients(field)
+                (_, fbar, hbar), (_, ftbar, htbar) = model.reduce_coefficients(field)
                 elements = list(field.elements())
                 expected = {("affine", u, v) for u in elements for v in elements
                             if v * v + hbar(u) * v == fbar(u)}
                 expected |= {("infinity", field.zero, v) for v in elements
                              if v * v + htbar(field.zero) * v == ftbar(field.zero)}
-                yielded = [(chart, u, v) for chart, _, _, u, v in _reduced_points(model, field)]
+                yielded = list(_reduced_points(model, field))
                 assert len(yielded) == len(set(yielded))
                 assert set(yielded) == expected
 
