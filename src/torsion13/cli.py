@@ -26,8 +26,8 @@ from .hyperelliptic import (count_points, is_smooth_mod_p, mod_p_residues,
 from .polynomials import enumerate_rationals
 from .reports import EVIDENCE, FAIL, PASS, ReportSink
 
-# lets bare negative rationals like -4/13 pass as option values
-_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
+# lets bare negative numbers like -4/13 or -0.5 pass as option values, for _fraction to check
+_NEGATIVE_RATIONAL = re.compile(r"^-\.?\d")
 
 # the exponent of a decimal such as 1.5e-3, which Fraction would expand in full
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="torsion13",
         description="Exact verification of the 13-torsion classification data.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json-only", action="store_true",
+    # SUPPRESS, so that a leaf command's default does not clear a group's --json-only
+    common.add_argument("--json-only", action="store_true", default=argparse.SUPPRESS,
                         help="suppress the human-readable summary on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,18 +31,14 @@ from fractions import Fraction
 
 from .elliptic import CurvePoint, PointNotOnCurveError, WeierstrassCurve, point_order
 from .fields import NumberField
-from .polynomials import (Polynomial, RationalFunction, Record, _binary_form,
-                          discriminant_cubic, qpoly, rat_is_square)
+from .polynomials import (Polynomial, Record, _binary_form, discriminant_cubic, qpoly,
+                          rat_is_square)
 
 DENOMINATOR_QUARTIC = qpoly(1, 1, 5, -1, 1)
 
-A_FUNCTION = RationalFunction(
-    qpoly(1, 5, 7, 5, 0, -5, 7, -5, 1),
-    DENOMINATOR_QUARTIC)
-
-B_FUNCTION = RationalFunction(
-    qpoly(1, 8, 25, 44, 40, -18, -40, 18, 40, -44, 25, -8, 1),
-    DENOMINATOR_QUARTIC * DENOMINATOR_QUARTIC)
+# A(t) and B(t) are these over DENOMINATOR_QUARTIC and its square, in lowest terms
+A_NUMERATOR = qpoly(1, 5, 7, 5, 0, -5, 7, -5, 1)
+B_NUMERATOR = qpoly(1, 8, 25, 44, 40, -18, -40, 18, 40, -44, 25, -8, 1)
 
 # w-cubic coefficients as polynomials in t (constant term first per power of w)
 W_CUBIC_COEFF_POLYS = (
@@ -54,12 +50,10 @@ W_CUBIC_COEFF_POLYS = (
 
 X_NUMERATOR_CONSTANT = qpoly(1, 3, -8, -6, 4, -3, 1)   # t^6 - 3t^5 + 4t^4 - 6t^3 - 8t^2 + 3t + 1
 
-# the integer coefficients of the t-polynomials that build_family_instance
-# evaluates as binary forms; A and B have denominators den and den^2
+# the integer coefficients of the t-polynomials build_family_instance evaluates as binary forms
 _QUARTIC_INTS, _A_INTS, _B_INTS, _X_INTS = (
     tuple(c.numerator for c in poly.coeffs)
-    for poly in (DENOMINATOR_QUARTIC, A_FUNCTION.numerator, B_FUNCTION.numerator,
-                 X_NUMERATOR_CONSTANT))
+    for poly in (DENOMINATOR_QUARTIC, A_NUMERATOR, B_NUMERATOR, X_NUMERATOR_CONSTANT))
 
 # the w-cubic's coefficients below w^3, each as a binary cubic form
 _W_INTS = tuple(tuple(c.numerator for c in poly.coeffs) + (0,) * (4 - len(poly.coeffs))

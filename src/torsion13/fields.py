@@ -11,13 +11,15 @@ other type), == (False across fields) and hash, -, / (with an operand on
 either side) and ** (square and multiply by polynomials._power; a
 negative exponent inverts first).  NumberFieldElement overrides - and /
 with integer kernels, so each of its + - * / builds one reduced element:
-an int or a Fraction operand scales the integer numerators and is never
-made an element, and a / b is one product with the adjugate of b.  Each
-field kind subclasses Field and defines _key and __call__; Field derives
-zero, one and _check, the one same-field test that every __call__ and
-kernel makes.  Fields and elements are immutable Values.  Curve and model
-code is generic over the elements, with Fraction itself serving as the
-field Q.
++ and - are one signed sum kernel, an int or a Fraction operand scales
+the integer numerators and is never made an element, and a / b is one
+product with the adjugate of b; r - a for a rational r takes the generic
+-, and inverse() is the kernel of r / a at r = 1.  Each field kind
+subclasses Field and defines _key and __call__; Field derives zero, one
+and _check, the one same-field test that every __call__ and kernel makes.
+Fields and elements are immutable Values.  Curve and model code is
+generic over the elements, with Fraction itself serving as the field Q.
+splitting_fingerprint takes a monic cubic and lists primes by _is_prime.
 """
 
 from __future__ import annotations
@@ -420,10 +422,11 @@ class NumberFieldElement(FieldElement):
     in lowest terms (Cohen, GTM 138, section 4.2), so equal elements have
     equal representations; coords gives the coordinates as Fractions.
 
-    +, -, * and / each build one reduced element.  An int or Fraction
-    operand scales the numerators and is never made an element, and a / b
-    is one product of a with the adjugate of b.  Exact type tests come
-    before isinstance, whose Fraction test goes through the ABC machinery.
+    +, -, * and / each build one reduced element; + and - share one signed
+    kernel.  An int or Fraction operand scales the numerators and is never
+    made an element, and a / b is one product of a with the adjugate of b.
+    Exact type tests come before isinstance, whose Fraction test goes
+    through the ABC machinery.
     """
 
     __slots__ = ("field", "_num", "_den")
@@ -438,40 +441,28 @@ class NumberFieldElement(FieldElement):
             return Fraction(num[0], self._den)
         return num, self._den
 
-    def __add__(self, other):
-        (a0, a1, a2), da = self._num, self._den
+    def _sum(self, other, sign: int):
+        """self + sign * other for sign 1 or -1, built as one reduced element."""
         if type(other) is NumberFieldElement:
             (b0, b1, b2), db = self.field._check(other)._num, other._den
-            if da == db:
-                return _element(self.field, a0 + b0, a1 + b1, a2 + b2, da)
-            return _element(self.field, a0 * db + b0 * da, a1 * db + b1 * da,
-                            a2 * db + b2 * da, da * db)
-        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
-            n, d = other.numerator, other.denominator
-            return _element(self.field, a0 * d + n * da, a1 * d, a2 * d, da * d)
-        return NotImplemented
+        elif type(other) in _RATIONALS or isinstance(other, _RATIONALS):
+            (b0, b1, b2), db = (other.numerator, 0, 0), other.denominator
+        else:
+            return NotImplemented
+        (a0, a1, a2), da = self._num, self._den
+        if da == db:
+            return _element(self.field, a0 + sign * b0, a1 + sign * b1, a2 + sign * b2, da)
+        sa = sign * da
+        return _element(self.field, a0 * db + b0 * sa, a1 * db + b1 * sa, a2 * db + b2 * sa,
+                        da * db)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        (a0, a1, a2), da = self._num, self._den
-        if type(other) is NumberFieldElement:
-            (b0, b1, b2), db = self.field._check(other)._num, other._den
-            if da == db:
-                return _element(self.field, a0 - b0, a1 - b1, a2 - b2, da)
-            return _element(self.field, a0 * db - b0 * da, a1 * db - b1 * da,
-                            a2 * db - b2 * da, da * db)
-        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
-            n, d = other.numerator, other.denominator
-            return _element(self.field, a0 * d - n * da, a1 * d, a2 * d, da * d)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
-            (a0, a1, a2), da = self._num, self._den
-            n, d = other.numerator, other.denominator
-            return _element(self.field, n * da - a0 * d, -a1 * d, -a2 * d, da * d)
-        return NotImplemented
+        return self._sum(other, -1)
 
     def __mul__(self, other):
         field = self.field
@@ -538,10 +529,8 @@ class NumberFieldElement(FieldElement):
         return (cof0, D * cof1, D * D * cof2), det
 
     def inverse(self) -> NumberFieldElement:
-        """Inverse from the adjugate of the integer multiplication matrix."""
-        (c0, c1, c2), det = self._adjugate()
-        d = self._den
-        return _element(self.field, d * c0, d * c1, d * c2, det)
+        """1 / self, from the adjugate of the integer multiplication matrix."""
+        return self.__rtruediv__(1)
 
     def is_rational(self) -> bool:
         return self._num[1] == 0 and self._num[2] == 0
@@ -565,11 +554,15 @@ def splitting_fingerprint(f: Polynomial, bound: int):
     """Root counts of a monic irreducible cubic modulo unramified primes up to bound.
 
     Primes dividing disc(f) or any coefficient denominator are skipped.
-    For a cyclic cubic the count is 0 or 3 at every unramified prime.
+    For a cyclic cubic the count is 0 or 3 at every unramified prime.  A
+    cubic that is not monic is refused: modulo a prime dividing its leading
+    coefficient one of its roots lies at infinity and would go uncounted.
     """
     f = f.map_coefficients(Fraction)
     if f.degree != 3:
         raise ValueError("fingerprint needs a cubic")
+    if f.coeffs[-1] != 1:
+        raise ValueError("fingerprint needs a monic cubic")
     if rational_roots(f):
         raise ValueError("fingerprint needs an irreducible cubic")
     if bound < 2:
@@ -579,8 +572,8 @@ def splitting_fingerprint(f: Polynomial, bound: int):
     for coeff in f.coeffs:
         skip *= coeff.denominator
     out = {}
-    for p in _primes_upto(bound):
-        if skip % p == 0:
+    for p in range(2, bound + 1):
+        if not _is_prime(p) or skip % p == 0:
             continue
         fp = PrimeField(p)
         coeffs = [fp(coeff).value for coeff in f.coeffs]
@@ -593,16 +586,3 @@ def splitting_fingerprint(f: Polynomial, bound: int):
                 count += 1
         out[p] = count
     return out
-
-
-def _primes_upto(n: int):
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    i = 2
-    while i * i <= n:
-        if sieve[i]:
-            sieve[i * i:: i] = bytearray(len(sieve[i * i:: i]))
-        i += 1
-    return [i for i in range(2, n + 1) if sieve[i]]

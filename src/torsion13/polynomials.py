@@ -333,26 +333,14 @@ def discriminant_cubic(a, b, c, d):
     18abcd - 4b^3d + b^2c^2 - 4ac^3 - 27a^2d^2.  The caller is responsible
     for degree bookkeeping when a vanishes (the value is then the quantity
     the same formula assigns to the degenerate quadruple, not the
-    discriminant of the lower-degree polynomial).
-
-    Rational arguments (ints or Fractions) take an integer kernel: the
-    formula runs on their numerators over the common denominator n, and
-    the value is divided by n^4, the formula being homogeneous of degree 4.
-    The value is a Fraction when any argument is one.
+    discriminant of the lower-degree polynomial).  For rational arguments
+    the value is a Fraction exactly when an argument is one.
 
     >>> discriminant_cubic(1, Fraction(-1, 2), 0, 1)
     Fraction(-53, 2)
     """
-    args = (a, b, c, d)
-    rational = all(isinstance(x, (int, Fraction)) for x in args)
-    if rational:
-        n = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        a, b, c, d = (x.numerator * (n // x.denominator) for x in args)
-    disc = (18 * (a * b * c * d) - 4 * (b * b * b * d) + (b * b) * (c * c)
+    return (18 * (a * b * c * d) - 4 * (b * b * b * d) + (b * b) * (c * c)
             - 4 * (a * c * c * c) - 27 * (a * a * d * d))
-    if rational and any(isinstance(x, Fraction) for x in args):
-        return Fraction(disc, n ** 4)
-    return disc
 
 
 def rat_is_square(r):

@@ -306,11 +306,14 @@ class TestHarness:
          f"--value: |numerator| and denominator must be <= {cli.RATIONAL_HEIGHT_CAP}"),
         (["family", "verify", "--t", "1e10000000"],
          "--t: exponent must be at most 27 in absolute value"),
+        # a minus and a digit make a value for _fraction to refuse; a minus and a letter do not
+        (["family", "verify", "--t", "-1/0"], "--t: not a rational: '-1/0'"),
+        (["family", "verify", "--t", "-x"], "--t: expected one argument"),
     ], ids=["search-0", "search-negative", "sweep-0", "search-cap+1", "sweep-cap+1",
             "count-1009", "count-2^31-1",
             "fingerprint-49", "fingerprint-10001",
             "t-cap+1", "t-1000000007", "value-denominator-cap+1", "value-10^16",
-            "t-1e10000000"])
+            "t-1e10000000", "t--1/0", "t--x"])
     def test_out_of_range_bound_exits_2_before_any_work(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -330,6 +333,31 @@ class TestHarness:
     def test_json_only_suppresses_stderr(self, capsys):
         _, _, err = run_cli(capsys, "count", "--curve", "x", "--p", "3", "--json-only")
         assert err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "--json-only", "verify", "--t", "3/5"],
+        ["fiber", "--json-only", "classify", "--map", "y", "--value", "-4/13"],
+        ["sporadic", "--json-only", "verify", "--fingerprint-bound", "100"],
+    ], ids=["family", "fiber", "sporadic"])
+    def test_json_only_after_a_command_group_suppresses_stderr(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "verify", "--t", "-0.5"],
+        ["family", "verify", "--t", "-1_000/3"],
+        ["fiber", "classify", "--map", "y", "--value", "-1.5e1"],
+    ], ids=["t-decimal", "t-underscore", "value-exponent"])
+    def test_negative_decimal_is_an_option_value(self, capsys, argv):
+        def reports(argv):
+            code, out, _ = run_cli(capsys, *argv)
+            return code, [{k: v for k, v in line.items() if k != "elapsed_ms"}
+                          for line in json_lines(out)]
+
+        code, lines = reports(argv)
+        assert (code, lines[-1]["status"]) == (0, "pass")
+        # the same value joined to its option, as --t=-0.5, is one token to argparse
+        assert reports(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == (code, lines)
 
     def test_reports_parse_and_have_required_fields(self, capsys):
         _, out, _ = run_cli(capsys, "family", "verify", "--t", "2")

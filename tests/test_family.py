@@ -4,14 +4,14 @@ import pytest
 
 from torsion13 import cli, family, fields
 from torsion13.elliptic import CurvePoint, WeierstrassCurve, add_points
-from torsion13.family import (A_FUNCTION, B_FUNCTION, DENOMINATOR_QUARTIC,
+from torsion13.family import (A_NUMERATOR, B_NUMERATOR, DENOMINATOR_QUARTIC,
                               X_NUMERATOR_CONSTANT, FamilyInstance,
                               build_family_instance, verify_family_instance,
                               verify_w_disc_identity, w_cubic,
                               w_cubic_discriminant_target)
 from torsion13.fields import NumberField
 from torsion13.polynomials import (discriminant_cubic, enumerate_rationals,
-                                   qpoly)
+                                   poly_gcd, qpoly)
 
 
 class TestBuildInstance:
@@ -45,12 +45,12 @@ class TestBuildInstance:
 
 def reference_instance(t: Fraction) -> dict:
     """The family data at t built as the module docstring writes it: A and B
-    as rational functions, the discriminant in plain Fractions, and the point
-    by element arithmetic in Q(w)."""
-    a_value, b_value = A_FUNCTION(t), B_FUNCTION(t)
+    as quotients of polynomial values, the discriminant in plain Fractions,
+    and the point by element arithmetic in Q(w)."""
+    den = DENOMINATOR_QUARTIC(t)
+    a_value, b_value = A_NUMERATOR(t) / den, B_NUMERATOR(t) / den ** 2
     a4, a6 = -27 * a_value, 54 * (t * t + 1) * b_value
     w = NumberField(w_cubic(t))(0, 1)
-    den = DENOMINATOR_QUARTIC(t)
     return {"a_value": a_value, "b_value": b_value, "a4": a4, "a6": a6,
             "disc": -16 * (4 * a4 ** 3 + 27 * a6 ** 2),
             "x": (36 * t * w + 3 * X_NUMERATOR_CONSTANT(t)) / den,
@@ -62,10 +62,10 @@ class TestIntegerBuild:
     binary form; every field it builds equals the reference value."""
 
     def test_what_the_build_relies_on(self):
-        assert A_FUNCTION.denominator == DENOMINATOR_QUARTIC
-        assert B_FUNCTION.denominator == DENOMINATOR_QUARTIC ** 2
-        for poly in (DENOMINATOR_QUARTIC, A_FUNCTION.numerator, B_FUNCTION.numerator,
-                     X_NUMERATOR_CONSTANT):
+        # so A and B have the denominators DENOMINATOR_QUARTIC and its square
+        assert poly_gcd(A_NUMERATOR, DENOMINATOR_QUARTIC) == qpoly(1)
+        assert poly_gcd(B_NUMERATOR, DENOMINATOR_QUARTIC) == qpoly(1)
+        for poly in (DENOMINATOR_QUARTIC, A_NUMERATOR, B_NUMERATOR, X_NUMERATOR_CONSTANT):
             assert all(c.denominator == 1 for c in poly.coeffs)
 
     @pytest.mark.parametrize("t", [t for t in enumerate_rationals(12) if t]
@@ -186,8 +186,8 @@ class TestRationalFunctions:
         t = Fraction(2)
         den = DENOMINATOR_QUARTIC(t)
         assert den == 16 - 8 + 20 + 2 + 1
-        assert A_FUNCTION(t) == Fraction(-17, 31)
-        assert B_FUNCTION(t) == Fraction(1301, 961)
+        assert A_NUMERATOR(t) / den == Fraction(-17, 31)
+        assert B_NUMERATOR(t) / den ** 2 == Fraction(1301, 961)
 
     def test_sweep_small_heights(self):
         failures = []

@@ -412,6 +412,11 @@ class TestSplittingFingerprint:
         with pytest.raises(ValueError):
             splitting_fingerprint(qpoly(-1, 0, 0, 1), 100)
 
+    def test_non_monic_rejected(self):
+        # 5x^3 + x^2 + x + 1: mod 5 one root lies at infinity and would go uncounted
+        with pytest.raises(ValueError, match="monic"):
+            splitting_fingerprint(qpoly(1, 1, 1, 5), 30)
+
     def test_matches_bruteforce_oracle(self):
         fp = splitting_fingerprint(K_POLY, 60)
         for p, count in fp.items():
