@@ -7,7 +7,7 @@ rational-point bookkeeping on the auxiliary hyperelliptic curves."""
 from .elliptic import CurvePoint, INFINITY, WeierstrassCurve, add_points, point_order, tate_curve
 from .fields import (ExtensionFieldElement, NumberField, NumberFieldElement,
                      PrimeField, PrimeFieldElement, QuadraticExtensionField,
-                     build_quadratic_extension, splitting_fingerprint)
+                     splitting_fingerprint)
 from .hyperelliptic import (HyperellipticModel, ModelPoint, count_points,
                             is_smooth_mod_p, jacobian_order_fp, search_rational_points)
 from .polynomials import (Polynomial, RationalFunction, discriminant_cubic,

@@ -107,7 +107,7 @@ def _check_w_disc():
     }
 
 
-def _check_family_sweep(height: int, emit=lambda line: None):
+def _check_family_sweep(height: int, emit=lambda _line: None):
     """Build and verify each nonzero parameter once; `emit` gets one line per parameter."""
     checked = 0
     failures = []
@@ -177,7 +177,7 @@ def _check_d1_sieve(points, height: int):
             consistent = False
             per_prime[str(p)] = {"good_reduction": False}
             continue
-        residues = mod_p_residues(model, points, p)
+        residues = mod_p_residues(points, p)
         everything = points_mod_p(model, p)
         lifted = residues <= everything
         consistent = consistent and lifted
@@ -293,7 +293,7 @@ def _nonzero_fraction(text: str) -> Fraction:
     return value
 
 
-def _int_between(low: int, high: int | None = None):
+def _int_between(low: int, high: int):
     """argparse type for an integer in [low, high], so bad bounds exit 2 at parse time."""
     def parse(text: str) -> int:
         try:
@@ -302,7 +302,7 @@ def _int_between(low: int, high: int | None = None):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
+        if value > high:
             raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return parse

@@ -17,8 +17,9 @@ product with the adjugate of b; r - a for a rational r takes the generic
 -, and inverse() is the kernel of r / a at r = 1.  Each field kind
 subclasses Field and defines _key and __call__; Field derives zero, one
 and _check, the one same-field test that every __call__ and kernel makes.
-Fields and elements are immutable Values.  Curve and model code is
-generic over the elements, with Fraction itself serving as the field Q.
+Fields and elements are immutable Values.  F_{p^2} is F_p(xi), built from p
+alone: xi^2 + xi + 1 = 0 at p = 2, xi^2 = n, the least non-residue, at odd p.
+Curve and model code is generic over the elements, with Fraction as Q.
 splitting_fingerprint takes a monic cubic and lists primes by _is_prime.
 """
 
@@ -28,8 +29,8 @@ import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polynomials import (Polynomial, Value, _is_prime, _power, _roots_mod,
-                          discriminant_cubic, rational_roots)
+from .polynomials import (Polynomial, Value, _is_prime, _power, discriminant_cubic,
+                          rational_roots)
 
 PRIME_CAP = 2**31
 
@@ -211,34 +212,31 @@ class PrimeFieldElement(FieldElement):
 
 
 def least_nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue of an odd prime: the least n >= 2 for
-    which x^2 - n has no root mod p, the irreducibility test that
-    QuadraticExtensionField makes of its modulus.
+    """Smallest quadratic non-residue of an odd prime p: the least n >= 2
+    with n^((p-1)/2) != 1 mod p (Euler's criterion).
 
     Every residue mod 2 is a square, so p < 3 raises ValueError.
     """
     if p < 3:
         raise ValueError(f"every residue mod {p} is a square")
     n = 2
-    while any(_roots_mod((-n, 0, 1), p)):
+    while pow(n, (p - 1) // 2, p) == 1:
         n += 1
     return n
 
 
 class QuadraticExtensionField(Field):
-    """F_{p^2} = F_p(xi) with xi a root of a monic irreducible quadratic.
+    """F_{p^2} = F_p(xi), xi a root of the modulus x^2 + a1 x + a0 picked from p:
+    x^2 + x + 1 at p = 2, and x^2 - n for the least non-residue n at odd p.
 
     Elements are coordinate pairs with respect to the basis {1, xi}.
     """
 
     __slots__ = ("base", "a0", "a1")
 
-    def __init__(self, base: PrimeField, modulus: tuple):
-        # modulus (a0, a1) encodes x^2 + a1 x + a0
-        a0, a1 = modulus[0] % base.p, modulus[1] % base.p
-        if any(_roots_mod((a0, a1, 1), base.p)):
-            raise ValueError("modulus quadratic is reducible over F_p")
-        object.__setattr__(self, "base", base)
+    def __init__(self, p: int):
+        object.__setattr__(self, "base", PrimeField(p))
+        a0, a1 = (1, 1) if p == 2 else (-least_nonresidue(p) % p, 0)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a1", a1)
 
@@ -262,7 +260,7 @@ class QuadraticExtensionField(Field):
         return self.p * self.p
 
     def _key(self):
-        return self.p, self.a0, self.a1
+        return self.p
 
     def __repr__(self):
         return f"F_{self.p}^2 [xi^2 + {self.a1}*xi + {self.a0} = 0]"
@@ -321,14 +319,6 @@ class ExtensionFieldElement(FieldElement):
 
     def __repr__(self):
         return f"({self.c0} + {self.c1}*xi) (mod {self.field.p})"
-
-
-def build_quadratic_extension(p: int) -> QuadraticExtensionField:
-    """Deterministic F_{p^2}: x^2+x+1 for p = 2, x^2 - n for the least non-residue n otherwise."""
-    base = PrimeField(p)
-    if p == 2:
-        return QuadraticExtensionField(base, (1, 1))
-    return QuadraticExtensionField(base, (-least_nonresidue(p), 0))
 
 
 class NumberField(Field):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import BadReductionError, PrimeField, build_quadratic_extension
+from .fields import BadReductionError, PrimeField, QuadraticExtensionField
 from .polynomials import (Polynomial, Record, Value, enumerate_rationals, poly_gcd,
                           rat_is_square)
 
@@ -194,8 +194,9 @@ def jacobian_order_fp(model: HyperellipticModel, p: int) -> int:
         raise ValueError("L-polynomial bookkeeping implemented for genus 2 only")
     if not is_smooth_mod_p(model, p):
         raise BadReductionError(f"bad reduction at {p}")
-    n1 = count_points(model, PrimeField(p))
-    n2 = count_points(model, build_quadratic_extension(p))
+    field = QuadraticExtensionField(p)
+    n1 = count_points(model, field.base)
+    n2 = count_points(model, field)
     s1 = p + 1 - n1
     s2_twice = s1 * s1 - (p * p + 1 - n2)
     if s2_twice % 2:
@@ -204,7 +205,7 @@ def jacobian_order_fp(model: HyperellipticModel, p: int) -> int:
     return 1 - s1 + s2 - p * s1 + p * p
 
 
-def mod_p_residues(model: HyperellipticModel, points, p: int):
+def mod_p_residues(points, p: int):
     """Reductions mod p of rational model points, as hashable tuples.
 
     Affine points map to ("affine", u mod p, v mod p); infinity-chart

@@ -154,8 +154,7 @@ class Polynomial(Value):
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial(a - b for a, b in
-                          itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0))
+        return self + -other
 
     def __neg__(self):
         return Polynomial(-c for c in self.coeffs)
@@ -171,8 +170,8 @@ class Polynomial(Value):
             return Polynomial(out)
         return Polynomial(c * other for c in self.coeffs)
 
-    def __rmul__(self, other):
-        return Polynomial(other * c for c in self.coeffs)
+    # scalar multiplication commutes for every coefficient kind in use
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -554,12 +553,6 @@ class RationalFunction(Value):
 
     def _key(self):
         return self.numerator, self.denominator
-
-    def __call__(self, x):
-        den = self.denominator(x)
-        if not den:
-            raise ZeroDivisionError(f"denominator vanishes at {x}")
-        return self.numerator(x) / den
 
     def __repr__(self):
         return f"({self.numerator}) / ({self.denominator})"

@@ -70,7 +70,8 @@ class ReportSink:
             print(f"[{report.status.upper():8s}] {report.check_id}: {report.claim_ref}",
                   file=sys.stderr)
 
-    def emit_raw(self, payload):
+    @staticmethod
+    def emit_raw(payload):
         """A non-report JSON line, e.g. one object per found search point."""
         print(json.dumps(payload, sort_keys=True, default=_wire))
 

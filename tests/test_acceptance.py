@@ -96,7 +96,7 @@ def test_d1_search_and_sieve():
     assert points == expected
     for p in (3, 7, 11):
         assert is_smooth_mod_p(D1_MODEL, p)
-        residues = mod_p_residues(D1_MODEL, points, p)
+        residues = mod_p_residues(points, p)
         everything = points_mod_p(D1_MODEL, p)
         assert residues <= everything
         print(f"  p={p}: {len(residues)} classes filled of {len(everything)} "
@@ -117,7 +117,7 @@ def test_d2_search_and_reduction():
     assert is_smooth_mod_p(D2_MIN_MODEL, 2)
     min_points = search_rational_points(D2_MIN_MODEL, 100)
     assert len(min_points) == 3
-    assert mod_p_residues(D2_MIN_MODEL, min_points, 2) == points_mod_p(D2_MIN_MODEL, 2)
+    assert mod_p_residues(min_points, 2) == points_mod_p(D2_MIN_MODEL, 2)
     _announce("d2 search and mod-2 reduction")
 
 

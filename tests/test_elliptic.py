@@ -10,7 +10,7 @@ from torsion13.elliptic import (INFINITY, CurvePoint, OrderBoundExceededError,
                                 WeierstrassCurve, add_points, point_order, tate_curve,
                                 tate_origin)
 from torsion13.family import build_family_instance, w_cubic
-from torsion13.fields import NumberField, PrimeField, build_quadratic_extension
+from torsion13.fields import NumberField, PrimeField, QuadraticExtensionField
 from torsion13.polynomials import enumerate_rationals
 from torsion13.sporadic import sporadic_curve
 
@@ -115,7 +115,7 @@ class TestInvariants:
             assert c.disc == disc
             assert c.j * disc == c4**3
 
-    @pytest.mark.parametrize("field", [None, PrimeField(2), build_quadratic_extension(2),
+    @pytest.mark.parametrize("field", [None, PrimeField(2), QuadraticExtensionField(2),
                                        PrimeField(3), PrimeField(7)],
                              ids=["Q", "F_2", "F_4", "F_3", "F_7"])
     def test_discriminant_skipping_zero_terms_matches_formulary(self, field):
@@ -282,7 +282,7 @@ def oracle_cases(field_name):
     if field_name == "F_7":
         return list(finite_field_curves(PrimeField(7), 7)), len(NONSINGULAR_PATTERNS), False
     if field_name == "F_9":
-        cases = list(finite_field_curves(build_quadratic_extension(3), 9))
+        cases = list(finite_field_curves(QuadraticExtensionField(3), 9))
         return cases, len(NONSINGULAR_PATTERNS) - len(CHAR_3_SINGULAR), False
     if field_name == "Q":
         cases = list(curves_through_random_points(random_rational, 11))
@@ -390,7 +390,7 @@ class TestPointOrder:
                                            (2, 2), (3, 2)])
     def test_matches_iterated_addition_on_every_point(self, p, degree):
         """Every point of four curves over F_(p^degree) against the definition of the order."""
-        field = PrimeField(p) if degree == 1 else build_quadratic_extension(p)
+        field = PrimeField(p) if degree == 1 else QuadraticExtensionField(p)
         elements = list(field.elements())
         rng = random.Random(p ** degree)
         curves = []

@@ -6,8 +6,7 @@ from math import gcd
 import pytest
 
 from torsion13.fields import (BadReductionError, ExtensionFieldElement,
-                              NumberField, PrimeField,
-                              QuadraticExtensionField, build_quadratic_extension,
+                              NumberField, PrimeField, QuadraticExtensionField,
                               least_nonresidue, splitting_fingerprint)
 from torsion13.family import w_cubic
 from torsion13.polynomials import Polynomial, discriminant_cubic, poly_divmod, qpoly
@@ -43,7 +42,7 @@ def random_element(field, rng, span=9, max_den=5):
 
 def protocol_cases():
     """(field, a, b, p) for each field kind; b is nonzero, p is None over Q."""
-    f7, f49, f4 = PrimeField(7), build_quadratic_extension(7), build_quadratic_extension(2)
+    f7, f49, f4 = PrimeField(7), QuadraticExtensionField(7), QuadraticExtensionField(2)
     k, w_field = NumberField(K_POLY), NumberField(w_cubic(Fraction(3, 5)))
     xi, eta = ExtensionFieldElement(f49, 0, 1), ExtensionFieldElement(f4, 0, 1)
     return [
@@ -78,7 +77,7 @@ def test_field_element_protocol(field, a, b, p):
 
 
 def test_prime_field_elements_coerce_into_the_quadratic_extension():
-    f7, f49 = PrimeField(7), build_quadratic_extension(7)
+    f7, f49 = PrimeField(7), QuadraticExtensionField(7)
     xi = ExtensionFieldElement(f49, 0, 1)
     assert f7(3) == f49(3) and f49(3) == f7(3)
     assert f7(3) != xi and xi != f7(3)
@@ -88,7 +87,7 @@ def test_prime_field_elements_coerce_into_the_quadratic_extension():
 
 
 def test_an_element_of_f_p_in_f_p2_hashes_as_in_f_p():
-    f7, f49 = PrimeField(7), build_quadratic_extension(7)
+    f7, f49 = PrimeField(7), QuadraticExtensionField(7)
     assert f49(3) == f7(3) == 3 and hash(f49(3)) == hash(f7(3)) == hash(3)
     assert len({f49(3), f7(3), 3}) == 1
     assert len({f49(3) + ExtensionFieldElement(f49, 0, 1), f7(3)}) == 2
@@ -108,10 +107,10 @@ def mixed_field_cases():
     w3, w5 = NumberField(w_cubic(3)), NumberField(w_cubic(5))
     return [
         pytest.param(PrimeField(5)(1), PrimeField(7)(1), id="F_5,F_7"),
-        pytest.param(build_quadratic_extension(5).one, build_quadratic_extension(7).one,
+        pytest.param(QuadraticExtensionField(5).one, QuadraticExtensionField(7).one,
                      id="F_5^2,F_7^2"),
         pytest.param(w3.one, w5.one, id="Q(w) t=3,t=5"),
-        pytest.param(PrimeField(7)(6), build_quadratic_extension(5)(1), id="F_7,F_5^2"),
+        pytest.param(PrimeField(7)(6), QuadraticExtensionField(5)(1), id="F_7,F_5^2"),
     ]
 
 
@@ -222,26 +221,39 @@ class TestPrimeField:
 
 class TestQuadraticExtension:
     def test_deterministic_modulus_p2(self):
-        ext = build_quadratic_extension(2)
+        ext = QuadraticExtensionField(2)
         assert (ext.a0, ext.a1) == (1, 1)  # x^2 + x + 1
 
     def test_deterministic_modulus_p3(self):
-        ext = build_quadratic_extension(3)
+        ext = QuadraticExtensionField(3)
         assert (ext.a0, ext.a1) == (1, 0)  # x^2 - 2 = x^2 + 1 over F_3
 
     def test_deterministic_modulus_p13(self):
         assert least_nonresidue(13) == 2
-        ext = build_quadratic_extension(13)
+        ext = QuadraticExtensionField(13)
         assert (ext.a0, ext.a1) == (11, 0)  # x^2 - 2
 
     def test_least_nonresidue_by_eulers_criterion_below_2000(self):
-        """n is a non-residue of an odd prime p exactly when n^((p-1)/2) = -1 mod p."""
+        """The least n >= 2 outside the squares mod p, for each odd prime p < 2000."""
         primes = primes_upto(2000)[1:]
         assert len(primes) == 302
         for p in primes:
+            squares = {x * x % p for x in range(p)}
             n = least_nonresidue(p)
-            assert pow(n, (p - 1) // 2, p) == p - 1, p
-            assert all(pow(m, (p - 1) // 2, p) == 1 for m in range(2, n)), p
+            assert n not in squares, p
+            assert all(m in squares for m in range(2, n)), p
+
+    def test_modulus_has_no_root_below_2000(self):
+        """x^2 + a1 x + a0 has no root mod p, by trial of every residue."""
+        for p in primes_upto(2000):
+            ext = QuadraticExtensionField(p)
+            assert not any((x * x + ext.a1 * x + ext.a0) % p == 0 for x in range(p)), p
+            assert ext.a1 == (1 if p == 2 else 0) and 0 <= ext.a0 < p, p
+
+    @pytest.mark.parametrize("p", [0, 1, 91])
+    def test_non_prime_refused(self, p):
+        with pytest.raises(ValueError):
+            QuadraticExtensionField(p)
 
     @pytest.mark.parametrize("p", [2, 1])
     def test_least_nonresidue_refuses_p_below_3(self, p):
@@ -249,12 +261,8 @@ class TestQuadraticExtension:
         with pytest.raises(ValueError, match="is a square"):
             least_nonresidue(p)
 
-    def test_reducible_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            QuadraticExtensionField(PrimeField(5), (-1, 0))  # x^2 - 1 splits
-
     def test_xi_inverse_in_f9(self):
-        ext = build_quadratic_extension(3)  # xi^2 = -1
+        ext = QuadraticExtensionField(3)  # xi^2 = -1
         xi = ExtensionFieldElement(ext, 0, 1)
         assert xi.inverse() == -xi
         # oracle: exhaust all nine elements
@@ -263,14 +271,14 @@ class TestQuadraticExtension:
 
     def test_inverse_exhaustive_small_fields(self):
         for p in (2, 3, 5, 7):
-            ext = build_quadratic_extension(p)
+            ext = QuadraticExtensionField(p)
             for e in ext.elements():
                 if e:
                     assert e * e.inverse() == ext.one
 
     def test_field_axioms_sampled(self):
         rng = random.Random(23)
-        ext = build_quadratic_extension(11)
+        ext = QuadraticExtensionField(11)
         elems = list(ext.elements())
         for _ in range(1000):
             a, b, c = (rng.choice(elems) for _ in range(3))
@@ -279,8 +287,8 @@ class TestQuadraticExtension:
             assert a * (b + c) == a * b + a * c
 
     def test_order(self):
-        assert build_quadratic_extension(5).order() == 25
-        assert len(list(build_quadratic_extension(5).elements())) == 25
+        assert QuadraticExtensionField(5).order() == 25
+        assert len(list(QuadraticExtensionField(5).elements())) == 25
 
 
 class TestNumberField:

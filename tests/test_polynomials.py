@@ -410,12 +410,6 @@ class TestRationalFunction:
         assert f.denominator == qpoly(0, 1)
         assert f.numerator == qpoly(Fraction(1, 2), Fraction(1, 2))
 
-    def test_evaluation(self):
-        f = RationalFunction(qpoly(1, 1), qpoly(0, 1))
-        assert f(Fraction(2)) == Fraction(3, 2)
-        with pytest.raises(ZeroDivisionError):
-            f(Fraction(0))
-
 
 def random_coefficient(rng, kind):
     """An int, a Fraction, or either ("mixed"); zero about one time in five."""
@@ -437,7 +431,7 @@ def evaluation_points(rng):
 
 
 class TestEvaluationAgainstFractionHorner:
-    """Polynomial and RationalFunction at Fractions equal Fraction Horner, type included."""
+    """Polynomials at Fractions equal Fraction Horner, type included."""
 
     @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
     def test_polynomial_at_random_fractions(self, kind):
@@ -455,24 +449,6 @@ class TestEvaluationAgainstFractionHorner:
             for u in (Fraction(0), Fraction(-9, 4), Fraction(10**20, 3**40)):
                 got, want = p(u), fraction_horner(coeffs, u)
                 assert got == want and type(got) is type(want)
-
-    def test_rational_function_at_random_fractions(self):
-        rng = random.Random("eval-rational-function")
-        checked = 0
-        while checked < 200:
-            num = [random_coefficient(rng, "mixed") for _ in range(rng.randint(0, 8))]
-            den = [random_coefficient(rng, "mixed") for _ in range(rng.randint(1, 6))]
-            if not any(den):
-                continue
-            f = RationalFunction(Polynomial(num), Polynomial(den))
-            for u in evaluation_points(rng):
-                den_value = fraction_horner(den, u)
-                if not den_value:
-                    continue
-                got = f(u)
-                want = Fraction(fraction_horner(num, u)) / den_value
-                assert got == want and type(got) is Fraction, (num, den, u)
-                checked += 1
 
     def test_prime_field_coefficients_stay_on_the_generic_path(self):
         field = PrimeField(101)

@@ -1,8 +1,9 @@
 """The runtime package imports nothing outside the standard library (and
 not dataclasses), one module of it writes JSON, one class writes each of
 immutability, equality and field-element coercion, only the fields module
-builds field elements past their classes' constructors, and every public
-function and class has a caller in the package."""
+builds field elements past their classes' constructors, every public
+function and class has a caller in the package, and every parameter of
+every function is read."""
 
 import ast
 import os
@@ -133,3 +134,28 @@ def test_every_public_function_and_class_is_used_in_the_package():
               and not node.name.startswith("_")
               and everywhere[node.name] == names(node)[node.name]}
     assert unused == UNCALLED_PUBLIC_NAMES
+
+
+def test_every_parameter_is_read():
+    """Each parameter of each function and lambda is read in its body.
+    Dunder protocol methods, whose signatures the protocol fixes, and
+    parameters named with a leading _ are exempt."""
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                name, body = node.name, node.body
+            elif isinstance(node, ast.Lambda):
+                name, body = "<lambda>", [node.body]
+            else:
+                continue
+            a = node.args
+            params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if arg is not None]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(path.name, name, param) for param in params
+                       if not param.startswith("_") and param not in read]
+    assert not unread

@@ -9,7 +9,7 @@ import pytest
 from torsion13.elliptic import CurvePoint, WeierstrassCurve
 from torsion13.family import build_family_instance, verify_family_instance
 from torsion13.fields import (ExtensionFieldElement, NumberField, PrimeField,
-                              build_quadratic_extension)
+                              QuadraticExtensionField)
 from torsion13.hyperelliptic import HyperellipticModel, ModelPoint
 from torsion13.polynomials import RationalFunction, Record, qpoly
 from torsion13.reports import PASS, VerificationReport
@@ -26,8 +26,8 @@ BUILDERS = {
     "HyperellipticModel": lambda: HyperellipticModel(f=qpoly(0, 1, 1), h=qpoly(1, 0, 1, 1)),
     "PrimeField": lambda: PrimeField(7),
     "PrimeFieldElement": lambda: PrimeField(7)(3),
-    "QuadraticExtensionField": lambda: build_quadratic_extension(7),
-    "ExtensionFieldElement": lambda: ExtensionFieldElement(build_quadratic_extension(7), 0, 1) + 2,
+    "QuadraticExtensionField": lambda: QuadraticExtensionField(7),
+    "ExtensionFieldElement": lambda: ExtensionFieldElement(QuadraticExtensionField(7), 0, 1) + 2,
     "NumberField": lambda: NumberField(K_POLY),
     "NumberFieldElement": lambda: NumberField(K_POLY)(1, Fraction(1, 2), -3),
     # the Records
