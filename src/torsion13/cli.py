@@ -64,7 +64,7 @@ JACOBIAN_PRIMES = (3, 5, 7, 11, 19, 23)
 CLAIMS = {
     "x13.points": "the six rational points satisfy the model of the genus-2 modular curve, two of them at infinity",
     "family.w_disc": "the w-cubic has discriminant t^4*(t^4-t^3+5t^2+t+1)^2",
-    "family.sweep": "each family member has a point of order 13 over a cyclic cubic field",
+    "family.sweep": "each family member up to the given height has a point of order 13 over a cyclic cubic field",
     "family.instance": "the family member at this parameter has a point of order 13 over a cyclic cubic field",
     "fiber.disc.y": "the x-discriminant of the y-map fiber equals d1(y) up to a square factor",
     "fiber.disc.t": "the x-discriminant of the (y+1)/x-map fiber equals d2(t) up to a square factor",

@@ -4,15 +4,18 @@ y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6, with the chord-tangent
 group law written in characteristic-agnostic form.  Coefficients may be
 Fractions or any field element kind from the fields module.  Points are
 affine pairs plus a distinguished point at infinity; no projective
-coordinates are exposed.  The group law is add_points; point_order finds
-the order of a point up to a bound, and proves an expected odd prime order
-n in about 2 log2(n) group steps before it walks.
+coordinates are exposed.  The group law is add_points: points whose
+coordinates lie in a cubic field Q(theta) take fields.chord_tangent, one
+integer kernel per step, and every other field the generic formula.
+point_order finds the order of a point up to a bound, and proves an
+expected odd prime order n in about 2 log2(n) group steps before it walks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .fields import NumberFieldElement, chord_tangent
 from .polynomials import Record, Value, _is_prime, _power
 
 
@@ -51,7 +54,7 @@ class WeierstrassCurve(Value):
 
     The b-invariants and the discriminant follow the standard formulary
     (Silverman, AEC, III.1); j is computed from them only when read.
-    Terms with a zero coefficient are skipped, as in add_points: with
+    Terms with a zero coefficient are skipped, as in is_on_curve: with
     a1 = a2 = a3 = 0 the discriminant is -8 b4^3 - 27 b6^2, that is
     -16 (4 a4^3 + 27 a6^2), and b8 is never formed.  When a4 and a6 are
     also Fractions, that value is computed on their numerators over the
@@ -131,46 +134,31 @@ def add_points(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePo
     Q = P, and the denominator y1 + y2 + a1 x2 + a3 is zero for Q = -P and
     equals the tangent's 2 y1 + a1 x1 + a3 for Q = P.
 
-    Each term whose curve coefficient is zero is skipped, and a coordinate
-    stands on the left of each coefficient product, so a curve over Q with
-    a point over a number field multiplies no element by a zero Fraction.
+    When all four coordinates lie in a cubic field Q(theta), the step is
+    fields.chord_tangent, one integer kernel that builds only x3 and y3;
+    the formula below serves every other field (F_p, F_{p^2}, Q).
     """
     if p.is_infinity:
         return q
     if q.is_infinity:
         return p
-    a1, a2, a3, a4, _ = curve.coefficients()
     x1, y1, x2, y2 = p.x, p.y, q.x, q.y
+    if type(x1) is type(y1) is type(x2) is type(y2) is NumberFieldElement:
+        total = chord_tangent(curve.coefficients(), x1, y1, x2, y2)
+        return INFINITY if total is None else CurvePoint(*total)
+    a1, a2, a3, a4, _ = curve.coefficients()
     if x1 == x2:
-        den = y1 + y2
-        if a1:
-            den = den + x2 * a1
-        if a3:
-            den = den + a3
+        den = y1 + y2 + x2 * a1 + a3
         if not den:
             return INFINITY
-        num = x1 * x1 * 3
-        if a2:
-            num = num + x1 * a2 * 2
-        if a4:
-            num = num + a4
-        if a1:
-            num = num - y1 * a1
+        num = x1 * x1 * 3 + x1 * a2 * 2 + a4 - y1 * a1
     else:
         num = y2 - y1
         den = x2 - x1
     lam = num / den
-    x3 = lam * lam - x1 - x2
-    if a1:
-        x3 = x3 + lam * a1
-    if a2:
-        x3 = x3 - a2
+    x3 = lam * lam + lam * a1 - a2 - x1 - x2
     # y3 = -(lam x3 + nu) - a1 x3 - a3 with nu = y1 - lam x1
-    y3 = (x1 - x3) * lam - y1
-    if a1:
-        y3 = y3 - x3 * a1
-    if a3:
-        y3 = y3 - a3
+    y3 = (x1 - x3) * lam - y1 - x3 * a1 - a3
     return CurvePoint(x3, y3)
 
 

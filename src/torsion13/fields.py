@@ -19,7 +19,11 @@ subclasses Field and defines _key and __call__; Field derives zero, one
 and _check, the one same-field test that every __call__ and kernel makes.
 Fields and elements are immutable Values.  F_{p^2} is F_p(xi), built from p
 alone: xi^2 + xi + 1 = 0 at p = 2, xi^2 = n, the least non-residue, at odd p.
-Curve and model code is generic over the elements, with Fraction as Q.
+Curve and model code is generic over the elements, with Fraction as Q,
+but for one step: chord_tangent, the chord-tangent step on points over
+Q(theta) that elliptic.add_points takes for them, reads every value as a
+numerator triple over an integer, inverts lambda's denominator by
+_adjugate, and builds only x3 and y3.
 splitting_fingerprint takes a monic cubic and lists primes by _is_prime.
 """
 
@@ -384,6 +388,8 @@ def _element(field: NumberField, n0: int, n1: int, n2: int, den: int) -> NumberF
 # an operand of either type takes the rational fast paths of NumberFieldElement
 _RATIONALS = (int, Fraction)
 
+_ZERO = (0, 0, 0)
+
 
 def _product(field: NumberField, a: tuple, b: tuple) -> tuple:
     """Numerators of the product of numerator triples a and b, over D^2.
@@ -403,6 +409,30 @@ def _product(field: NumberField, a: tuple, b: tuple) -> tuple:
     c2 = c2 * D - c4 * m1
     c1 = c1 * D - c4 * m0
     return c0 * D * D - c3 * m0, c1 * D - c3 * m1, c2 * D - c3 * m2
+
+
+def _adjugate(field: NumberField, n: tuple) -> tuple:
+    """(C0, D C1, D^2 C2) and det, with n^-1 = (C0, D C1, D^2 C2) / det for
+    the numerator triple n read as an element over denominator 1.
+
+    For n the integer multiplication matrix has columns n, u = D n theta
+    and w = D u theta; its determinant is D^3 N(n), nonzero for n != 0.
+    C_i are the cofactors along its first row.
+    """
+    if n == _ZERO:
+        raise ZeroDivisionError("inverse of 0 in number field")
+    (m0, m1, m2), D = field._m, field._den
+    n0, n1, n2 = n
+    u0, u1, u2 = -n2 * m0, n0 * D - n2 * m1, n1 * D - n2 * m2
+    w0, w1, w2 = -u2 * m0, u0 * D - u2 * m1, u1 * D - u2 * m2
+    cof0 = u1 * w2 - w1 * u2
+    cof1 = w1 * n2 - n1 * w2
+    cof2 = n1 * u2 - u1 * n2
+    det = n0 * cof0 + u0 * cof1 + w0 * cof2
+    if det == 0:
+        # a zero norm contradicts irreducibility
+        raise ArithmeticError("non-invertible element: reducible modulus")
+    return (cof0, D * cof1, D * D * cof2), det
 
 
 class NumberFieldElement(FieldElement):
@@ -473,7 +503,7 @@ class NumberFieldElement(FieldElement):
         field = self.field
         if type(other) is NumberFieldElement:
             # b^-1 = db adj(b) / det(b), so a / b = db (na * adj(b)) / (da det(b))
-            adj, det = field._check(other)._adjugate()
+            adj, det = _adjugate(field, field._check(other)._num)
             db, D = other._den, field._den
             c0, c1, c2 = _product(field, self._num, adj)
             return _element(field, db * c0, db * c1, db * c2, self._den * det * D * D)
@@ -487,7 +517,7 @@ class NumberFieldElement(FieldElement):
 
     def __rtruediv__(self, other):
         if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
-            (c0, c1, c2), det = self._adjugate()
+            (c0, c1, c2), det = _adjugate(self.field, self._num)
             n, d = other.numerator * self._den, other.denominator
             return _element(self.field, n * c0, n * c1, n * c2, d * det)
         return NotImplemented
@@ -495,28 +525,6 @@ class NumberFieldElement(FieldElement):
     def __neg__(self):
         n0, n1, n2 = self._num
         return _element(self.field, -n0, -n1, -n2, self._den)
-
-    def _adjugate(self) -> tuple:
-        """(C0, D C1, D^2 C2) and det, with self^-1 = den (C0, D C1, D^2 C2) / det.
-
-        For the numerator n the integer multiplication matrix has columns
-        n, u = D n theta and w = D u theta; its determinant is D^3 N(n),
-        nonzero for n != 0.  C_i are the cofactors along its first row.
-        """
-        if not self:
-            raise ZeroDivisionError("inverse of 0 in number field")
-        (m0, m1, m2), D = self.field._m, self.field._den
-        n0, n1, n2 = self._num
-        u0, u1, u2 = -n2 * m0, n0 * D - n2 * m1, n1 * D - n2 * m2
-        w0, w1, w2 = -u2 * m0, u0 * D - u2 * m1, u1 * D - u2 * m2
-        cof0 = u1 * w2 - w1 * u2
-        cof1 = w1 * n2 - n1 * w2
-        cof2 = n1 * u2 - u1 * n2
-        det = n0 * cof0 + u0 * cof1 + w0 * cof2
-        if det == 0:
-            # a zero norm contradicts irreducibility
-            raise ArithmeticError("non-invertible element: reducible modulus")
-        return (cof0, D * cof1, D * D * cof2), det
 
     def inverse(self) -> NumberFieldElement:
         """1 / self, from the adjugate of the integer multiplication matrix."""
@@ -526,7 +534,7 @@ class NumberFieldElement(FieldElement):
         return self._num[1] == 0 and self._num[2] == 0
 
     def __bool__(self):
-        return self._num != (0, 0, 0)
+        return self._num != _ZERO
 
     def __repr__(self):
         c0, c1, c2 = self.coords
@@ -538,6 +546,101 @@ class NumberFieldElement(FieldElement):
 # object.__setattr__)
 _set_field, _set_num, _set_den = (vars(NumberFieldElement)[name].__set__
                                   for name in NumberFieldElement.__slots__)
+
+
+def _coefficient(field: NumberField, a) -> tuple | None:
+    """(numerator triple, denominator) of a curve coefficient in field or in Q,
+    or None for zero."""
+    if type(a) is NumberFieldElement:
+        n, d = field._check(a)._num, a._den
+    else:
+        c, d = a.as_integer_ratio()
+        n = c, 0, 0
+    return None if n == _ZERO else (n, d)
+
+
+def _plus(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    """a + sign * b for (numerator triple, denominator) pairs, unreduced."""
+    (t0, t1, t2), d = a
+    (u0, u1, u2), e = b
+    if d == e:
+        return (t0 + sign * u0, t1 + sign * u1, t2 + sign * u2), d
+    se = sign * d
+    return (t0 * e + u0 * se, t1 * e + u1 * se, t2 * e + u2 * se), d * e
+
+
+def _times(field: NumberField, a: tuple, b: tuple) -> tuple:
+    """a * b for (numerator triple, denominator) pairs, unreduced."""
+    D = field._den
+    return _product(field, a[0], b[0]), a[1] * b[1] * D * D
+
+
+def chord_tangent(coefficients: tuple, x1, y1, x2, y2) -> tuple | None:
+    """(x3, y3) = (x1, y1) + (x2, y2) on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6,
+    or None for the point at infinity, for affine points on the curve.
+
+    The four coordinates are elements of one cubic field Q(theta), and
+    a1, a2, a3 and a4 lie in that field or in Q.  Each value is read as a
+    numerator triple over an integer, and sums and products stay unreduced:
+    lambda = num / den is num times the adjugate of den's numerators,
+    brought to lowest terms by one gcd, and only x3 and y3 are built, as
+    reduced elements.  A zero coefficient adds no term.  As in
+    elliptic.add_points, x1 = x2 means Q = +-P, and then
+    den = y1 + y2 + a1 x2 + a3 is zero for Q = -P and the tangent's
+    2 y1 + a1 x1 + a3 for Q = P.
+    """
+    field = x1.field
+    for v in (y1, x2, y2):
+        field._check(v)
+    D = field._den
+    c1, c2, c3, c4, _ = coefficients
+    a1, a2, a3, a4 = (_coefficient(field, c1), _coefficient(field, c2),
+                      _coefficient(field, c3), _coefficient(field, c4))
+    p1, q1, p2, q2 = (x1._num, x1._den), (y1._num, y1._den), (x2._num, x2._den), (y2._num, y2._den)
+    if p1 == p2:
+        den = _plus(q1, q2)
+        if a1:
+            den = _plus(den, _times(field, a1, p2))
+        if a3:
+            den = _plus(den, a3)
+        if den[0] == _ZERO:
+            return None
+        # 3 x1^2 + 2 a2 x1 + a4 - a1 y1, as x1 (3 x1 + 2 a2) + a4 - a1 y1
+        (n0, n1, n2), d = p1
+        inner = (3 * n0, 3 * n1, 3 * n2), d
+        if a2:
+            inner = _plus(inner, _plus(a2, a2))
+        num = _times(field, p1, inner)
+        if a4:
+            num = _plus(num, a4)
+        if a1:
+            num = _plus(num, _times(field, a1, q1), -1)
+    else:
+        num, den = _plus(q2, q1, -1), _plus(p2, p1, -1)
+    (n, dn), (m, dm) = num, den
+    adj, det = _adjugate(field, m)
+    # num / den = (n / dn) (dm adj / det), and n adj is over D^2
+    n0, n1, n2 = _product(field, n, adj)
+    n0, n1, n2, d = n0 * dm, n1 * dm, n2 * dm, dn * det * D * D
+    g = gcd(n0, n1, n2, d)
+    lam = (n0 // g, n1 // g, n2 // g), d // g
+    # x3 = lambda (lambda + a1) - (x1 + x2 + a2)
+    (n0, n1, n2), d = _times(field, lam, _plus(lam, a1) if a1 else lam)
+    s = _plus(p1, p2)
+    if a2:
+        s = _plus(s, a2)
+    (s0, s1, s2), e = s
+    x3 = _element(field, n0 * e - s0 * d, n1 * e - s1 * d, n2 * e - s2 * d, d * e)
+    p3 = x3._num, x3._den
+    # y3 = (x1 - x3) lambda - (y1 + a1 x3 + a3)
+    (n0, n1, n2), d = _times(field, _plus(p1, p3, -1), lam)
+    s = q1
+    if a1:
+        s = _plus(s, _times(field, a1, p3))
+    if a3:
+        s = _plus(s, a3)
+    (s0, s1, s2), e = s
+    return x3, _element(field, n0 * e - s0 * d, n1 * e - s1 * d, n2 * e - s2 * d, d * e)
 
 
 def splitting_fingerprint(f: Polynomial, bound: int):

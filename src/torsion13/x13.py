@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
 
 from .hyperelliptic import HyperellipticModel, ModelPoint, jacobian_order_fp
 from .polynomials import (Polynomial, RationalFunction, Record, discriminant_cubic,
@@ -84,20 +83,22 @@ class FiberClassification(Record):
                  "discriminant_is_square", "includes_infinity")
 
 
-def _clear_denominators(p: Polynomial) -> Polynomial:
-    """Scale by the positive lcm of coefficient denominators."""
-    return p * Fraction(lcm(*(Fraction(c).denominator for c in p.coeffs)))
-
-
 def fiber_cubic(fiber_map: FiberMap, value) -> Polynomial:
     """The fiber polynomial in x above a rational value, denominators cleared.
 
     The y-map fiber is the model equation with y fixed; the t-map fiber is
     the substitution y = x*t - 1 with the base-point factor x removed.
+    The fiber is num/den * sum ints[i] x^i by its cached integer form,
+    den the lcm of its denominators, so cleared it is num * sum ints[i] x^i.
     """
     value = Fraction(value)
     coeffs, _ = FIBERS[fiber_map]
-    return _clear_denominators(Polynomial(c(value) for c in coeffs))
+    fiber = Polynomial(c(value) for c in coeffs)
+    form = fiber._integer_form()
+    if form is None:  # the zero polynomial
+        return fiber
+    ints, num, _ = form
+    return Polynomial.from_integers([num * c for c in ints], 1)
 
 
 def classify_fiber(fiber_map: FiberMap, value) -> FiberClassification:

@@ -481,3 +481,115 @@ def rational_roots_by_candidates(coeffs):
                 if sum(c * a**i * q**(n - i) for i, c in enumerate(ints)) == 0:
                     roots.add(Fraction(a, q))
     return roots
+
+
+def _poly_trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _poly_trim(x - y for x, y in zip(a, b))
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of long division by a nonzero b, lists constant first."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = Fraction(a[-1]) / b[-1]
+        shift = len(a) - len(b)
+        quotient[shift] = c
+        a = _poly_sub(a, [0] * shift + [c * v for v in b])
+    return _poly_trim(quotient), a
+
+
+class CubicResidue:
+    """c0 + c1 x + c2 x^2 in Q[x]/(f), f a monic irreducible cubic given by its
+    Fraction coefficients, constant first.
+
+    A product is reduced by long division by f, and the inverse comes from
+    the extended Euclidean algorithm on f and the element.  Ints and
+    Fractions act as constants, so chord_tangent_sum runs on residues.
+    """
+
+    def __init__(self, f, coords):
+        self.f = f
+        rest = _poly_divmod([Fraction(c) for c in coords], f)[1]
+        self.coords = tuple(rest + [Fraction(0)] * (3 - len(rest)))
+
+    def _lift(self, other):
+        if isinstance(other, CubicResidue):
+            assert other.f == self.f, "residues mod different cubics"
+            return other
+        return CubicResidue(self.f, [other])
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return CubicResidue(self.f, [a + b for a, b in zip(self.coords, other.coords)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CubicResidue(self.f, [-a for a in self.coords])
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        return CubicResidue(self.f, _poly_mul(list(self.coords), list(other.coords)))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        r0, r1 = list(self.f), _poly_trim(self.coords)
+        assert r1, "inverse of 0"
+        s0, s1 = [], [Fraction(1)]
+        while r1:
+            q, r = _poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        assert len(r0) == 1, "gcd with the modulus is not constant"
+        return CubicResidue(self.f, [c / r0[0] for c in s0])
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._lift(other) * self.inverse()
+
+    def __eq__(self, other):
+        return self.coords == self._lift(other).coords
+
+    def __bool__(self):
+        return any(self.coords)
+
+
+def cubic_chord_tangent_sum(f, coeffs, p, q):
+    """P + Q on a long Weierstrass curve over Q[x]/(f), by chord_tangent_sum on
+    CubicResidue values.
+
+    f: the monic irreducible cubic, constant first.  coeffs: a1, a2, a3, a4,
+    a6, each a triple of coordinates in the basis 1, x, x^2.  Points are
+    pairs of such triples, or None for infinity; so is the sum.
+    """
+    def pair(point):
+        return None if point is None else tuple(CubicResidue(f, v) for v in point)
+    total = chord_tangent_sum([CubicResidue(f, a) for a in coeffs], pair(p), pair(q))
+    return None if total is None else tuple(v.coords for v in total)

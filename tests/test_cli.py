@@ -390,7 +390,7 @@ class TestFrozenOutput:
 
     @pytest.mark.parametrize("argv, digest", [
         (["verify-all", "--json-only"],
-         "e5731854f8d850d8200538e73a468c1dcdc0b9d751c51f0d6ca3ef9deb22f107"),
+         "664558a75fb9022d12b2c562f7359ab5959aef85721c261d5d6aefcf0d0a7db8"),
         (["family", "verify", "--t", "3/5", "--json-only"],
          "979cd12aa7ce88d1de2ad40cccce03daf0b03ce36eb229ae9a67a580f6bfc7cc"),
         (["fiber", "classify", "--map", "y", "--value", "-4/13", "--json-only"],
@@ -402,7 +402,7 @@ class TestFrozenOutput:
         (["count", "--curve", "d2min", "--p", "2", "--json-only"],
          "9ae91d4c20920b0ba8d3970d68f33095fce2ef52d797b6d42ec859d46d953cfb"),
         (["family", "sweep", "--height", "2", "--json-only"],
-         "360fb0cfe4be642dc30a071e9fca4b9905f733303665c57c04b50fdb3e0c84a7"),
+         "15fd896ca6c6cf9f9bd5c1ee3a5d984c4d8d3cf0d10a6e9fbaeecf31682de1e1"),
         (["sporadic", "verify", "--fingerprint-bound", "100", "--json-only"],
          "de789bdac6aa618d07eca84fe8874262ac20d1ecab9b96d1e71c1401fe9d25ae"),
         # at the height cap, where the coefficients have many divisors
@@ -426,4 +426,4 @@ class TestFrozenOutput:
         code, out, _ = run_cli(capsys, "family", "sweep", "--height", "2", "--json-only")
         assert code == 1
         assert self.digest(out) == (
-            "0b613ad2a3f2d268ae7c67ec8dc8c8e8ba0712dfd1e2932c4c25b7fe8c3bd5cb")
+            "b9c4ba9016e1f7bfeff510b3de8b26464eb2fab7d3c95740a4a95329928136eb")

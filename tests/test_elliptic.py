@@ -10,11 +10,12 @@ from torsion13.elliptic import (INFINITY, CurvePoint, OrderBoundExceededError,
                                 WeierstrassCurve, add_points, point_order, tate_curve,
                                 tate_origin)
 from torsion13.family import build_family_instance, w_cubic
-from torsion13.fields import NumberField, PrimeField, QuadraticExtensionField
+from torsion13.fields import NumberField, NumberFieldElement, PrimeField, QuadraticExtensionField
 from torsion13.polynomials import enumerate_rationals
 from torsion13.sporadic import sporadic_curve
 
-from oracles import chord_tangent_sum, order_by_addition, weierstrass_equation
+from oracles import (chord_tangent_sum, cubic_chord_tangent_sum, order_by_addition,
+                     weierstrass_equation)
 
 
 def qcurve(a1=0, a2=0, a3=0, a4=0, a6=0):
@@ -366,6 +367,92 @@ class TestMultiples:
         lhs = add_points(curve, kp[5], kp[6])
         assert lhs == kp[12]
         assert lhs.is_infinity
+
+
+# x^3 - x^2 - 82x + 64, the sporadic field's cubic, constant first
+SPORADIC_CUBIC = [Fraction(c) for c in (64, -82, -1, 1)]
+
+
+def w_cubic_by_formula(t):
+    """The family's w-cubic at t from its stated coefficients, constant first."""
+    return [t * t, -t**3 + 2 * t * t - 2 * t, -t**3 + t * t - 3 * t + 1, Fraction(1)]
+
+
+def coords(value):
+    """A Q(theta) element or a rational as the oracle's coordinate triple."""
+    if isinstance(value, NumberFieldElement):
+        return value.coords
+    return Fraction(value), Fraction(0), Fraction(0)
+
+
+def cubic_pair(point):
+    return None if point.is_infinity else (coords(point.x), coords(point.y))
+
+
+def kernel_parameters():
+    """20 seeded nonzero t of height <= 20, with 3/5 and -7/20, whose w-cubics
+    are not integral."""
+    rng = random.Random(1913)
+    sample = rng.sample([t for t in enumerate_rationals(20) if t], 20)
+    return sorted(set(sample) | {Fraction(3, 5), Fraction(-7, 20)})
+
+
+class TestCubicFieldKernel:
+    """add_points on points over Q(theta), each step fields.chord_tangent,
+    against cubic_chord_tangent_sum of tests/oracles.py, which reduces Fraction
+    polynomials mod the minimal polynomial."""
+
+    @staticmethod
+    def record_kernel(monkeypatch):
+        calls = []
+        kernel = elliptic.chord_tangent
+
+        def recording(*args):
+            calls.append(args)
+            return kernel(*args)
+        monkeypatch.setattr(elliptic, "chord_tangent", recording)
+        return calls
+
+    @staticmethod
+    def check(cubic, curve, p, q):
+        total = add_points(curve, p, q)
+        coefficients = [coords(a) for a in curve.coefficients()]
+        assert cubic_pair(total) == cubic_chord_tangent_sum(cubic, coefficients,
+                                                            cubic_pair(p), cubic_pair(q))
+        return total
+
+    @pytest.mark.parametrize("t", kernel_parameters(), ids=str)
+    def test_family_points(self, monkeypatch, t):
+        """2P, P + 2P, 2P + 3P, P + (-P) and a vertical tangent, over Q(w)."""
+        inst = build_family_instance(t)
+        cubic, curve, p = w_cubic_by_formula(t), inst.curve, inst.point
+        calls = self.record_kernel(monkeypatch)
+        two_p = self.check(cubic, curve, p, p)
+        three_p = self.check(cubic, curve, p, two_p)
+        self.check(cubic, curve, two_p, three_p)
+        assert self.check(cubic, curve, p, CurvePoint(p.x, -p.y)) == INFINITY  # a1 = a3 = 0
+        # a6 in Q(w) puts (x(P), 0) on y^2 = x^3 + a4 x + a6, where the tangent is vertical
+        a4 = curve.a4
+        vertical = WeierstrassCurve(curve.a1, curve.a2, curve.a3, a4, -(p.x * p.x * p.x + p.x * a4))
+        two_torsion = CurvePoint(p.x, p.x - p.x)
+        assert vertical.is_on_curve(two_torsion)
+        assert self.check(cubic, vertical, two_torsion, two_torsion) == INFINITY
+        assert len(calls) == 5
+
+    def test_multiples_of_the_sporadic_origin(self, monkeypatch):
+        """iP + jP for 1 <= i, j <= 12 on the Tate curve over Q(alpha), whose a1,
+        a2 and a3 lie in Q(alpha): doublings, chords, and iP + (13 - i)P = O.
+        The origin with Fraction coordinates takes the generic formula."""
+        _, curve, origin = sporadic_curve()
+        kp = multiples(curve, origin, 12)
+        # with a rational coordinate the generic formula takes the step
+        assert add_points(curve, CurvePoint(Fraction(0), Fraction(0)), origin) == kp[1]
+        calls = self.record_kernel(monkeypatch)
+        for i, p in enumerate(kp, 1):
+            for j, q in enumerate(kp, 1):
+                total = self.check(SPORADIC_CUBIC, curve, p, q)
+                assert total == (INFINITY if i + j == 13 else kp[(i + j) % 13 - 1])
+        assert len(calls) == 144
 
 
 class TestPointOrder:

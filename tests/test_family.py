@@ -122,7 +122,7 @@ class TestVerifyInstance:
         counting("_product", "products")
         assert cli.main(["family", "verify", "--t", "3/5", "--json-only"]) == 0
         assert '"order": 13' in capsys.readouterr().out
-        assert counts == {"elements": 48, "products": 17}
+        assert counts == {"elements": 16, "products": 17}
 
     def test_point_off_the_curve_is_a_failure_not_an_error(self):
         inst = build_family_instance(Fraction(3, 5))
