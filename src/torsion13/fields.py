@@ -9,21 +9,20 @@ operand or an element of the same field as an element of that field,
 ValueError for an element of another field of the same kind, None for any
 other type), == (False across fields) and hash, -, / (with an operand on
 either side) and ** (square and multiply by polynomials._power; a
-negative exponent inverts first).  NumberFieldElement overrides - and /
-with integer kernels, so each of its + - * / builds one reduced element:
-+ and - are one signed sum kernel, an int or a Fraction operand scales
-the integer numerators and is never made an element, and a / b is one
-product with the adjugate of b; r - a for a rational r takes the generic
--, and inverse() is the kernel of r / a at r = 1.  Each field kind
-subclasses Field and defines _key and __call__; Field derives zero, one
-and _check, the one same-field test that every __call__ and kernel makes.
+negative exponent inverts first).  A Q(theta) element's + and * each
+build one reduced element from integer numerators, and an int or a
+Fraction operand scales them and is never made an element; inverse() is
+_quotient, the one division kernel on numerator triples.  Each field
+kind subclasses Field and defines _key and __call__; Field derives zero,
+one and _check, the one same-field test that every __call__ and kernel
+makes.
 Fields and elements are immutable Values.  F_{p^2} is F_p(xi), built from p
 alone: xi^2 + xi + 1 = 0 at p = 2, xi^2 = n, the least non-residue, at odd p.
 Curve and model code is generic over the elements, with Fraction as Q,
 but for one step: chord_tangent, the chord-tangent step on points over
 Q(theta) that elliptic.add_points takes for them, reads every value as a
-numerator triple over an integer, inverts lambda's denominator by
-_adjugate, and builds only x3 and y3.
+numerator triple over an integer, forms lambda by _quotient, and
+builds only x3 and y3.
 splitting_fingerprint takes a monic cubic and lists primes by _is_prime.
 """
 
@@ -353,6 +352,8 @@ class NumberField(Field):
 
     def __call__(self, c0, c1=0, c2=0) -> NumberFieldElement:
         if isinstance(c0, NumberFieldElement):
+            if c1 or c2:
+                raise ValueError("an element takes no further coordinates")
             return self._check(c0)
         c = (Fraction(c0), Fraction(c1), Fraction(c2))
         den = lcm(c[0].denominator, c[1].denominator, c[2].denominator)
@@ -435,6 +436,19 @@ def _adjugate(field: NumberField, n: tuple) -> tuple:
     return (cof0, D * cof1, D * D * cof2), det
 
 
+def _quotient(field: NumberField, a: tuple, b: tuple) -> tuple:
+    """a / b for (numerator triple, denominator) pairs, b nonzero, in lowest
+    terms by one gcd; the denominator keeps its sign."""
+    (n, dn), (m, dm) = a, b
+    adj, det = _adjugate(field, m)
+    # a / b = (n / dn) (dm adj / det), and n adj is over D^2
+    n0, n1, n2 = _product(field, n, adj)
+    D = field._den
+    n0, n1, n2, d = n0 * dm, n1 * dm, n2 * dm, dn * det * D * D
+    g = gcd(n0, n1, n2, d)
+    return (n0 // g, n1 // g, n2 // g), d // g
+
+
 class NumberFieldElement(FieldElement):
     """Element of a cubic field in the basis {1, theta, theta^2}.
 
@@ -442,11 +456,11 @@ class NumberFieldElement(FieldElement):
     in lowest terms (Cohen, GTM 138, section 4.2), so equal elements have
     equal representations; coords gives the coordinates as Fractions.
 
-    +, -, * and / each build one reduced element; + and - share one signed
-    kernel.  An int or Fraction operand scales the numerators and is never
-    made an element, and a / b is one product of a with the adjugate of b.
-    Exact type tests come before isinstance, whose Fraction test goes
-    through the ABC machinery.
+    + and * each build one reduced element.  An int or Fraction operand
+    scales the numerators and is never made an element, and inverse() is
+    one product with the adjugate; - and / are FieldElement's.  Exact type
+    tests come before isinstance, whose Fraction test goes through the ABC
+    machinery.
     """
 
     __slots__ = ("field", "_num", "_den")
@@ -461,8 +475,7 @@ class NumberFieldElement(FieldElement):
             return Fraction(num[0], self._den)
         return num, self._den
 
-    def _sum(self, other, sign: int):
-        """self + sign * other for sign 1 or -1, built as one reduced element."""
+    def __add__(self, other):
         if type(other) is NumberFieldElement:
             (b0, b1, b2), db = self.field._check(other)._num, other._den
         elif type(other) in _RATIONALS or isinstance(other, _RATIONALS):
@@ -471,18 +484,11 @@ class NumberFieldElement(FieldElement):
             return NotImplemented
         (a0, a1, a2), da = self._num, self._den
         if da == db:
-            return _element(self.field, a0 + sign * b0, a1 + sign * b1, a2 + sign * b2, da)
-        sa = sign * da
-        return _element(self.field, a0 * db + b0 * sa, a1 * db + b1 * sa, a2 * db + b2 * sa,
+            return _element(self.field, a0 + b0, a1 + b1, a2 + b2, da)
+        return _element(self.field, a0 * db + b0 * da, a1 * db + b1 * da, a2 * db + b2 * da,
                         da * db)
 
-    def __add__(self, other):
-        return self._sum(other, 1)
-
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
 
     def __mul__(self, other):
         field = self.field
@@ -499,36 +505,14 @@ class NumberFieldElement(FieldElement):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        field = self.field
-        if type(other) is NumberFieldElement:
-            # b^-1 = db adj(b) / det(b), so a / b = db (na * adj(b)) / (da det(b))
-            adj, det = _adjugate(field, field._check(other)._num)
-            db, D = other._den, field._den
-            c0, c1, c2 = _product(field, self._num, adj)
-            return _element(field, db * c0, db * c1, db * c2, self._den * det * D * D)
-        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
-            n, d = other.numerator, other.denominator
-            if not n:
-                raise ZeroDivisionError("division by 0 in number field")
-            a0, a1, a2 = self._num
-            return _element(field, a0 * d, a1 * d, a2 * d, self._den * n)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if type(other) in _RATIONALS or isinstance(other, _RATIONALS):
-            (c0, c1, c2), det = _adjugate(self.field, self._num)
-            n, d = other.numerator * self._den, other.denominator
-            return _element(self.field, n * c0, n * c1, n * c2, d * det)
-        return NotImplemented
-
     def __neg__(self):
         n0, n1, n2 = self._num
         return _element(self.field, -n0, -n1, -n2, self._den)
 
     def inverse(self) -> NumberFieldElement:
         """1 / self, from the adjugate of the integer multiplication matrix."""
-        return self.__rtruediv__(1)
+        n, d = _quotient(self.field, ((1, 0, 0), 1), (self._num, self._den))
+        return _element(self.field, *n, d)
 
     def is_rational(self) -> bool:
         return self._num[1] == 0 and self._num[2] == 0
@@ -582,9 +566,8 @@ def chord_tangent(coefficients: tuple, x1, y1, x2, y2) -> tuple | None:
     The four coordinates are elements of one cubic field Q(theta), and
     a1, a2, a3 and a4 lie in that field or in Q.  Each value is read as a
     numerator triple over an integer, and sums and products stay unreduced:
-    lambda = num / den is num times the adjugate of den's numerators,
-    brought to lowest terms by one gcd, and only x3 and y3 are built, as
-    reduced elements.  A zero coefficient adds no term.  As in
+    lambda = num / den is _quotient, brought to lowest terms by one gcd,
+    and only x3 and y3 are built, as reduced elements.  A zero coefficient adds no term.  As in
     elliptic.add_points, x1 = x2 means Q = +-P, and then
     den = y1 + y2 + a1 x2 + a3 is zero for Q = -P and the tangent's
     2 y1 + a1 x1 + a3 for Q = P.
@@ -592,7 +575,6 @@ def chord_tangent(coefficients: tuple, x1, y1, x2, y2) -> tuple | None:
     field = x1.field
     for v in (y1, x2, y2):
         field._check(v)
-    D = field._den
     c1, c2, c3, c4, _ = coefficients
     a1, a2, a3, a4 = (_coefficient(field, c1), _coefficient(field, c2),
                       _coefficient(field, c3), _coefficient(field, c4))
@@ -617,13 +599,7 @@ def chord_tangent(coefficients: tuple, x1, y1, x2, y2) -> tuple | None:
             num = _plus(num, _times(field, a1, q1), -1)
     else:
         num, den = _plus(q2, q1, -1), _plus(p2, p1, -1)
-    (n, dn), (m, dm) = num, den
-    adj, det = _adjugate(field, m)
-    # num / den = (n / dn) (dm adj / det), and n adj is over D^2
-    n0, n1, n2 = _product(field, n, adj)
-    n0, n1, n2, d = n0 * dm, n1 * dm, n2 * dm, dn * det * D * D
-    g = gcd(n0, n1, n2, d)
-    lam = (n0 // g, n1 // g, n2 // g), d // g
+    lam = _quotient(field, num, den)
     # x3 = lambda (lambda + a1) - (x1 + x2 + a2)
     (n0, n1, n2), d = _times(field, lam, _plus(lam, a1) if a1 else lam)
     s = _plus(p1, p2)

@@ -106,8 +106,8 @@ class TestVerifyInstance:
     def test_work_of_one_family_verify_is_pinned(self, monkeypatch, capsys):
         """Counts, not times: the Q(w) elements built and the full Q(w) products
         (convolutions) made by `family verify --t 3/5`.  A rational operand scales
-        numerators and a / b is one product with b's adjugate, so more of either
-        count means work came back."""
+        numerators and each group-law step divides once, by one product with an
+        adjugate, so more of either count means work came back."""
         counts = {"elements": 0, "products": 0}
 
         def counting(name, key):

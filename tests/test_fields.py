@@ -161,8 +161,9 @@ def test_rational_operands_match_the_coercing_path(field):
 
 @pytest.mark.parametrize("field", number_fields())
 def test_division_is_one_product_with_the_adjugate(field):
-    """a / b equals a * b.inverse(), and the quotient times b, reduced by
-    polynomial division modulo the minimal polynomial, gives back a."""
+    """a / b is FieldElement's a * b.inverse(), where inverse() is one product
+    with the adjugate of b, and the quotient times b, reduced by polynomial
+    division modulo the minimal polynomial, gives back a."""
     rng = random.Random(61)
     for _ in range(150):
         a, b = random_element(field, rng), random_element(field, rng)
@@ -312,6 +313,12 @@ class TestNumberField:
             e = K(*(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)))
             if e:
                 assert e * e.inverse() == K.one
+
+    def test_an_element_takes_no_further_coordinates(self, K):
+        assert K(K(0, 1)) == K(0, 1) and K(K(1), 0, 0) == K(1)
+        for c1, c2 in ((1, 0), (0, Fraction(1, 2)), (0, K(0, 1))):
+            with pytest.raises(ValueError):
+                K(K(1), c1, c2)
 
     def test_is_rational(self, K):
         assert K(Fraction(5, 7)).is_rational()

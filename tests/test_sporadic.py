@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsion13 import fields
 from torsion13.elliptic import add_points, point_order
 from torsion13.polynomials import qpoly
 from torsion13.sporadic import (B_COORDS, C_COORDS, CONTRAST_CUBIC,
@@ -32,6 +33,27 @@ class TestVerifySporadic:
             "j_invariant_irrational",
         ]
         assert all(check()[0] for _, check in table)
+
+    def test_work_of_the_five_assertions_is_pinned(self, monkeypatch):
+        """Counts, not times: the Q(alpha) elements built, the full products and
+        the adjugates made by the five assertions.  Only the curve's
+        discriminant and j take - and /, which FieldElement derives from +,
+        unary - and inverse(), so more of any count means work came back."""
+        counts = dict.fromkeys(("_element", "_product", "_adjugate"), 0)
+
+        def counting(name):
+            original = getattr(fields, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(fields, name, wrapper)
+
+        for name in counts:
+            counting(name)
+        for _, check in verify_sporadic():
+            check()
+        assert counts == {"_element": 179, "_product": 87, "_adjugate": 5}
 
     def test_order_thirteen_exactly(self):
         _, curve, origin = sporadic_curve()

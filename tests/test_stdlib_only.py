@@ -17,6 +17,9 @@ from torsion13 import fields
 
 SOURCES = sorted(pathlib.Path(torsion13.__file__).parent.glob("*.py"))
 
+ELEMENT_CLASSES = {name for name, obj in vars(fields).items()
+                   if isinstance(obj, type) and issubclass(obj, fields.FieldElement)}
+
 
 def absolute_imports(path):
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -69,6 +72,13 @@ def test_value_semantics_are_written_once():
     assert classes_defining("_coerce") == {"FieldElement"}
 
 
+def test_only_field_element_derives_subtraction_division_and_powers():
+    """An element kind defines +, *, unary - and inverse(); FieldElement alone
+    derives -, / (with an operand on either side) and ** from them."""
+    for name in ("__sub__", "__rsub__", "__truediv__", "__rtruediv__", "__pow__"):
+        assert classes_defining(name) & ELEMENT_CLASSES == {"FieldElement"}
+
+
 def test_no_module_imports_dataclasses():
     """Record writes the plain records; dataclasses would bring inspect and ast to start-up."""
     importers = {path.name for path in SOURCES for name in absolute_imports(path)
@@ -104,14 +114,12 @@ def identifier(node):
 def test_only_fields_builds_elements_past_their_constructors():
     """No module but fields names _element or calls __new__ on an element
     class, so counting calls of fields._element counts every Q(theta) element."""
-    element_classes = {name for name, obj in vars(fields).items()
-                       if isinstance(obj, type) and issubclass(obj, fields.FieldElement)}
-    assert "NumberFieldElement" in element_classes
+    assert "NumberFieldElement" in ELEMENT_CLASSES
     found = [(path.name, node.lineno) for path in SOURCES if path.name != "fields.py"
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if identifier(node) == "_element"
              or isinstance(node, ast.Call) and identifier(node.func) == "__new__"
-             and identifier(node.args[0] if node.args else None) in element_classes]
+             and identifier(node.args[0] if node.args else None) in ELEMENT_CLASSES]
     assert not found
 
 
