@@ -6,7 +6,9 @@ Fractions or any field element kind from the fields module.  Points are
 affine pairs plus a distinguished point at infinity; no projective
 coordinates are exposed.  The group law is add_points: points whose
 coordinates lie in a cubic field Q(theta) take fields.chord_tangent, one
-integer kernel per step, and every other field the generic formula.
+integer kernel per step, and every other field the generic formula;
+is_on_curve chooses between fields.on_curve and its generic formula in
+the same way.  A curve decodes its coefficients for the kernels once.
 point_order finds the order of a point up to a bound, and proves an
 expected odd prime order n in about 2 log2(n) group steps before it walks.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import NumberFieldElement, chord_tangent
+from .fields import NumberFieldElement, chord_tangent, coefficient_pairs, on_curve
 from .polynomials import Record, Value, _is_prime, _power
 
 
@@ -54,14 +56,15 @@ class WeierstrassCurve(Value):
 
     The b-invariants and the discriminant follow the standard formulary
     (Silverman, AEC, III.1); j is computed from them only when read.
-    Terms with a zero coefficient are skipped, as in is_on_curve: with
-    a1 = a2 = a3 = 0 the discriminant is -8 b4^3 - 27 b6^2, that is
-    -16 (4 a4^3 + 27 a6^2), and b8 is never formed.  When a4 and a6 are
-    also Fractions, that value is computed on their numerators over the
-    one denominator den(a4)^3 den(a6)^2, and one Fraction is built.
+    Terms with a zero coefficient are skipped: with a1 = a2 = a3 = 0 the
+    discriminant is -8 b4^3 - 27 b6^2, that is -16 (4 a4^3 + 27 a6^2), and
+    b8 is never formed.  When a4 and a6 are also Fractions, that value is
+    computed on their numerators over the one denominator
+    den(a4)^3 den(a6)^2, and one Fraction is built.  The Q(theta) kernels
+    read the coefficients through _pairs, decoded on first use in a field.
     """
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "disc")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "disc", "_decoded")
 
     def __init__(self, a1, a2, a3, a4, a6):
         if type(a4) is Fraction and type(a6) is Fraction and not (a1 or a2 or a3):
@@ -86,7 +89,7 @@ class WeierstrassCurve(Value):
                 disc = disc + b2 * (9 * (b4 * b6) - b2 * b8)
         if not disc:
             raise SingularCurveError("discriminant is zero")
-        for name, value in zip(self.__slots__, (a1, a2, a3, a4, a6, disc)):
+        for name, value in zip(self.__slots__, (a1, a2, a3, a4, a6, disc, None)):
             object.__setattr__(self, name, value)
 
     @property
@@ -101,25 +104,25 @@ class WeierstrassCurve(Value):
 
     _key = coefficients
 
+    def _pairs(self, field):
+        """The coefficients as fields.coefficient_pairs reads them in field,
+        decoded again only when the field changes."""
+        decoded = self._decoded
+        if decoded is None or decoded[0] is not field:
+            decoded = field, coefficient_pairs(field, self.coefficients())
+            object.__setattr__(self, "_decoded", decoded)
+        return decoded[1]
+
     def is_on_curve(self, point: CurvePoint) -> bool:
+        """Whether y (y + a1 x + a3) = x (x (x + a2) + a4) + a6 holds at the point:
+        by fields.on_curve when x and y lie in a cubic field Q(theta)."""
         if point.is_infinity:
             return True
         x, y = point.x, point.y
+        if type(x) is type(y) is NumberFieldElement:
+            return on_curve(self._pairs(x.field), x, y)
         a1, a2, a3, a4, a6 = self.coefficients()
-        xx = x * x
-        lhs = y * y
-        if a1:
-            lhs = lhs + x * y * a1
-        if a3:
-            lhs = lhs + y * a3
-        rhs = xx * x
-        if a2:
-            rhs = rhs + xx * a2
-        if a4:
-            rhs = rhs + x * a4
-        if a6:
-            rhs = rhs + a6
-        return lhs == rhs
+        return y * (y + x * a1 + a3) == x * (x * (x + a2) + a4) + a6
 
     def __repr__(self):
         return (f"WeierstrassCurve(a1={self.a1}, a2={self.a2}, a3={self.a3}, "
@@ -144,7 +147,7 @@ def add_points(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePo
         return p
     x1, y1, x2, y2 = p.x, p.y, q.x, q.y
     if type(x1) is type(y1) is type(x2) is type(y2) is NumberFieldElement:
-        total = chord_tangent(curve.coefficients(), x1, y1, x2, y2)
+        total = chord_tangent(curve._pairs(x1.field), x1, y1, x2, y2)
         return INFINITY if total is None else CurvePoint(*total)
     a1, a2, a3, a4, _ = curve.coefficients()
     if x1 == x2:

@@ -59,18 +59,22 @@ _QUARTIC_INTS, _A_INTS, _B_INTS, _X_INTS = (
 _W_INTS = tuple(tuple(c.numerator for c in poly.coeffs) + (0,) * (4 - len(poly.coeffs))
                 for poly in W_CUBIC_COEFF_POLYS[:3])
 
+_ZERO = Fraction(0)
+
+
+def _w_cubic_form(a: int, b: int) -> tuple:
+    """b^3 times the w-cubic at t = a/b, as its integer coefficients
+    (C0, C1, C2, b^3), constant first, for the binary cubic forms
+    C0 = a^2 b, C1 = -a^3 + 2a^2 b - 2ab^2 and C2 = -a^3 + a^2 b - 3ab^2 + b^3
+    of W_CUBIC_COEFF_POLYS."""
+    return tuple(_binary_form(ints, a, b) for ints in _W_INTS) + (b * b * b,)
+
 
 def w_cubic(t) -> Polynomial:
-    """The cubic in w at a rational parameter value, built from integers.
-
-    With t = a/b it is (C0 + C1 w + C2 w^2 + b^3 w^3) / b^3 for the binary
-    cubic forms C0 = a^2 b, C1 = -a^3 + 2a^2 b - 2ab^2 and
-    C2 = -a^3 + a^2 b - 3ab^2 + b^3 of W_CUBIC_COEFF_POLYS.
-    """
+    """The cubic in w at a rational parameter value, built from integers."""
     t = Fraction(t)
-    a, b = t.numerator, t.denominator
-    return Polynomial.from_integers([_binary_form(ints, a, b) for ints in _W_INTS]
-                                    + [b * b * b], b * b * b)
+    ints = _w_cubic_form(t.numerator, t.denominator)
+    return Polynomial.from_integers(ints, ints[3])
 
 
 def w_cubic_discriminant_target() -> Polynomial:
@@ -92,8 +96,12 @@ class FamilyInstance(Record):
     situation where it factors over Q, and then field and point are None.
     """
 
-    __slots__ = ("t", "a_value", "b_value", "curve", "w_minimal", "disc_w",
-                 "status", "field", "point")
+    __slots__ = ("t", "a_value", "b_value", "curve", "disc_w", "status", "field", "point")
+
+    @property
+    def w_minimal(self) -> Polynomial:
+        """The w-cubic at t, built only when read."""
+        return w_cubic(self.t)
 
 
 def build_family_instance(t) -> FamilyInstance:
@@ -104,7 +112,9 @@ def build_family_instance(t) -> FamilyInstance:
     integers as one Fraction or one Q(w) element: A(t) = A_num(a, b) / (b^4 q),
     B(t) = B_num(a, b) / (b^4 q^2), x(P_t) = (3 X(a, b) + 36 a b^5 w) / (b^2 q)
     with X the binary sextic of X_NUMERATOR_CONSTANT, and
-    y(P_t) = 108 a b^2 (a + (a - b) w) / q.
+    y(P_t) = 108 a b^2 (a + (a - b) w) / q.  The w-cubic goes from its
+    integer coefficients to disc_w and to Q(w), whose construction tests it
+    for a rational root; no polynomial is built.
     """
     t = Fraction(t)
     if t == 0:
@@ -114,25 +124,22 @@ def build_family_instance(t) -> FamilyInstance:
     na, nb = _binary_form(_A_INTS, a, b), _binary_form(_B_INTS, a, b)
     b4q = b ** 4 * q
     a_value, b_value = Fraction(na, b4q), Fraction(nb, b4q * q)
-    zero = Fraction(0)
-    curve = WeierstrassCurve(zero, zero, zero, Fraction(-27 * na, b4q),
+    curve = WeierstrassCurve(_ZERO, _ZERO, _ZERO, Fraction(-27 * na, b4q),
                              Fraction(54 * (a * a + b * b) * nb, b * b * b4q * q))
-    cubic = w_cubic(t)
-    # the cubic is F / lead for its primitive integer form F, and the
-    # discriminant is homogeneous of degree 4 in the coefficients
-    ints = cubic._integer_form()[0]
+    # the cubic is F / F[3] for these integers F, and the discriminant is
+    # homogeneous of degree 4 in the coefficients
+    ints = _w_cubic_form(a, b)
     disc_w = Fraction(discriminant_cubic(*reversed(ints)), ints[3] ** 4)
     try:
-        field = NumberField(cubic)
+        field = NumberField.from_cubic_form(ints)
     except ValueError:
-        # the cubic is monic, so it is refused only for having a rational root
-        return FamilyInstance(t, a_value, b_value, curve, cubic, disc_w,
-                              "split", None, None)
+        # a cubic is refused only for having a rational root
+        return FamilyInstance(t, a_value, b_value, curve, disc_w, "split", None, None)
     x = field.from_integers(3 * _binary_form(_X_INTS, a, b), 36 * a * b ** 5, 0, b * b * q)
     c = 108 * a * b * b
     y = field.from_integers(c * a, c * (a - b), 0, q)
-    return FamilyInstance(t, a_value, b_value, curve, cubic, disc_w,
-                          "cyclic", field, CurvePoint(x, y))
+    return FamilyInstance(t, a_value, b_value, curve, disc_w, "cyclic", field,
+                          CurvePoint(x, y))
 
 
 class FamilyVerification(Record):

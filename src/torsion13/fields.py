@@ -19,10 +19,15 @@ makes.
 Fields and elements are immutable Values.  F_{p^2} is F_p(xi), built from p
 alone: xi^2 + xi + 1 = 0 at p = 2, xi^2 = n, the least non-residue, at odd p.
 Curve and model code is generic over the elements, with Fraction as Q,
-but for one step: chord_tangent, the chord-tangent step on points over
-Q(theta) that elliptic.add_points takes for them, reads every value as a
-numerator triple over an integer, forms lambda by _quotient, and
-builds only x3 and y3.
+but for two Q(theta) kernels on numerator triples over an integer, each
+chosen by elliptic when every coordinate is a Q(theta) element:
+chord_tangent, the chord-tangent step that elliptic.add_points takes,
+forms lambda by _quotient and builds only x3 and y3, and on_curve, the
+curve equation that WeierstrassCurve.is_on_curve takes, builds no
+element.  Both read the curve's coefficients as coefficient_pairs
+decodes them, once per curve.  A NumberField keeps its cubic as
+integers: from_cubic_form builds one from an integer cubic with no
+polynomial, and its roots are tested once, on that form.
 splitting_fingerprint takes a monic cubic and lists primes by _is_prime.
 """
 
@@ -32,8 +37,8 @@ import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polynomials import (Polynomial, Value, _is_prime, _power, discriminant_cubic,
-                          rational_roots)
+from .polynomials import (Polynomial, Value, _form_roots, _is_prime, _power,
+                          discriminant_cubic, rational_roots)
 
 PRIME_CAP = 2**31
 
@@ -327,12 +332,14 @@ class ExtensionFieldElement(FieldElement):
 class NumberField(Field):
     """Cubic field Q(theta) defined by a monic irreducible cubic over Q.
 
-    Element arithmetic reads the minimal polynomial x^3 + a2 x^2 + a1 x + a0
-    as integer numerators over one common denominator:
-    theta^3 = -(m0 + m1 theta + m2 theta^2) / D with m_i = a_i D.
+    The field keeps the minimal polynomial x^3 + a2 x^2 + a1 x + a0 as the
+    primitive integer form (m0, m1, m2, D) of D times it, D > 0, so
+    theta^3 = -(m0 + m1 theta + m2 theta^2) / D with m_i = a_i D; element
+    arithmetic and == read only those integers.  A field built by
+    from_cubic_form builds minimal_polynomial only when it is read.
     """
 
-    __slots__ = ("minimal_polynomial", "_m", "_den")
+    __slots__ = ("_m", "_den", "_minimal_polynomial")
 
     def __init__(self, minimal_polynomial: Polynomial):
         mp = minimal_polynomial
@@ -342,13 +349,34 @@ class NumberField(Field):
             raise ValueError("minimal polynomial must be a cubic")
         if mp.coeffs[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        if rational_roots(mp):
+        self._set_form(mp._integer_form()[0])
+        object.__setattr__(self, "_minimal_polynomial", mp)
+
+    @classmethod
+    def from_cubic_form(cls, ints) -> NumberField:
+        """Q(theta) for theta a root of sum ints[i] x^i, four integers with
+        ints[3] > 0; ValueError if the cubic has a rational root."""
+        g = gcd(*ints)
+        field = object.__new__(cls)
+        field._set_form(tuple(c // g for c in ints))
+        object.__setattr__(field, "_minimal_polynomial", None)
+        return field
+
+    def _set_form(self, ints):
+        """Keep the primitive integer form (m0, m1, m2, D), D > 0, of an irreducible cubic."""
+        if _form_roots(ints):
             raise ValueError("minimal polynomial is reducible (rational root)")
-        object.__setattr__(self, "minimal_polynomial", mp)
-        # the primitive integer form of a monic cubic is (m0, m1, m2, D)
-        ints = mp._integer_form()[0]
         object.__setattr__(self, "_m", ints[:3])
         object.__setattr__(self, "_den", ints[3])
+
+    @property
+    def minimal_polynomial(self) -> Polynomial:
+        """The monic cubic over Q, built from the integer form on first read."""
+        mp = self._minimal_polynomial
+        if mp is None:
+            mp = Polynomial.from_integers(self._m + (self._den,), self._den)
+            object.__setattr__(self, "_minimal_polynomial", mp)
+        return mp
 
     def __call__(self, c0, c1=0, c2=0) -> NumberFieldElement:
         if isinstance(c0, NumberFieldElement):
@@ -366,7 +394,8 @@ class NumberField(Field):
         return _element(self, n0, n1, n2, den)
 
     def _key(self):
-        return self.minimal_polynomial
+        # the primitive integer form with D > 0 is unique to the cubic
+        return self._m, self._den
 
     def __repr__(self):
         return f"NumberField({self.minimal_polynomial})"
@@ -532,15 +561,21 @@ _set_field, _set_num, _set_den = (vars(NumberFieldElement)[name].__set__
                                   for name in NumberFieldElement.__slots__)
 
 
-def _coefficient(field: NumberField, a) -> tuple | None:
-    """(numerator triple, denominator) of a curve coefficient in field or in Q,
-    or None for zero."""
-    if type(a) is NumberFieldElement:
-        n, d = field._check(a)._num, a._den
-    else:
-        c, d = a.as_integer_ratio()
-        n = c, 0, 0
-    return None if n == _ZERO else (n, d)
+def coefficient_pairs(field: NumberField, coefficients) -> tuple:
+    """The (numerator triple, denominator) of each curve coefficient in field or
+    in Q, or None for zero: the form chord_tangent and on_curve read.
+
+    Raises ValueError for a coefficient of another field.
+    """
+    pairs = []
+    for a in coefficients:
+        if type(a) is NumberFieldElement:
+            n, d = field._check(a)._num, a._den
+        else:
+            c, d = a.as_integer_ratio()
+            n = c, 0, 0
+        pairs.append(None if n == _ZERO else (n, d))
+    return tuple(pairs)
 
 
 def _plus(a: tuple, b: tuple, sign: int = 1) -> tuple:
@@ -559,15 +594,44 @@ def _times(field: NumberField, a: tuple, b: tuple) -> tuple:
     return _product(field, a[0], b[0]), a[1] * b[1] * D * D
 
 
+def on_curve(coefficients: tuple, x, y) -> bool:
+    """Whether y (y + a1 x + a3) = x (x (x + a2) + a4) + a6 for x and y in one
+    cubic field Q(theta), the coefficients as coefficient_pairs reads them.
+
+    Both sides stay numerator triples over an integer, unreduced, and are
+    compared by cross-multiplying, so no element is built.  A zero
+    coefficient adds no term.
+    """
+    field = x.field
+    field._check(y)
+    a1, a2, a3, a4, a6 = coefficients
+    p, q = (x._num, x._den), (y._num, y._den)
+    s = q
+    if a1:
+        s = _plus(s, _times(field, a1, p))
+    if a3:
+        s = _plus(s, a3)
+    (l0, l1, l2), d = _times(field, q, s)
+    r = _times(field, p, _plus(p, a2) if a2 else p)
+    if a4:
+        r = _plus(r, a4)
+    r = _times(field, p, r)
+    if a6:
+        r = _plus(r, a6)
+    (r0, r1, r2), e = r
+    return l0 * e == r0 * d and l1 * e == r1 * d and l2 * e == r2 * d
+
+
 def chord_tangent(coefficients: tuple, x1, y1, x2, y2) -> tuple | None:
     """(x3, y3) = (x1, y1) + (x2, y2) on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6,
     or None for the point at infinity, for affine points on the curve.
 
     The four coordinates are elements of one cubic field Q(theta), and
-    a1, a2, a3 and a4 lie in that field or in Q.  Each value is read as a
-    numerator triple over an integer, and sums and products stay unreduced:
-    lambda = num / den is _quotient, brought to lowest terms by one gcd,
-    and only x3 and y3 are built, as reduced elements.  A zero coefficient adds no term.  As in
+    the coefficients come as coefficient_pairs reads them in that field.
+    Each value is a numerator triple over an integer, and sums and
+    products stay unreduced: lambda = num / den is _quotient, brought to
+    lowest terms by one gcd, and only x3 and y3 are built, as reduced
+    elements.  A zero coefficient adds no term.  As in
     elliptic.add_points, x1 = x2 means Q = +-P, and then
     den = y1 + y2 + a1 x2 + a3 is zero for Q = -P and the tangent's
     2 y1 + a1 x1 + a3 for Q = P.
@@ -575,9 +639,7 @@ def chord_tangent(coefficients: tuple, x1, y1, x2, y2) -> tuple | None:
     field = x1.field
     for v in (y1, x2, y2):
         field._check(v)
-    c1, c2, c3, c4, _ = coefficients
-    a1, a2, a3, a4 = (_coefficient(field, c1), _coefficient(field, c2),
-                      _coefficient(field, c3), _coefficient(field, c4))
+    a1, a2, a3, a4, _ = coefficients
     p1, q1, p2, q2 = (x1._num, x1._den), (y1._num, y1._den), (x2._num, x2._den), (y2._num, y2._den)
     if p1 == p2:
         den = _plus(q1, q2)

@@ -65,9 +65,15 @@ class Record(Value):
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the slot descriptors' setters, which pass Value.__setattr__ (each
+        # faster than object.__setattr__ by name)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
 
     def _key(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -493,7 +499,11 @@ def rational_roots(p: Polynomial):
     form = p._integer_form()
     if form is None:
         raise TypeError("rational roots need coefficients in Q")
-    ints = form[0]
+    return _form_roots(form[0])
+
+
+def _form_roots(ints) -> set:
+    """rational_roots of sum ints[i] x^i, for integers not all zero."""
     roots = set()
     low = next(i for i, c in enumerate(ints) if c)
     if low:

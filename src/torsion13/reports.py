@@ -5,11 +5,12 @@ that support a claim without proving it (fingerprints, mod-p sieves).
 Any "fail" must surface as a nonzero process exit code.  elapsed_ms is the
 only field excluded from the byte-for-byte determinism guarantee.
 
-This module alone writes JSON, through one json.dumps default hook: a
-rational is the exact string "num/den" (denominator 1 included), a
-polynomial the list of its coefficients (constant term first), a model
-point on the infinity chart has u = "inf", an enum is its value and any
-Record its fields by name.
+This module alone writes JSON, through _ENCODER, one json.JSONEncoder
+with sorted keys built at import, whose default hook _wire gives the form
+of what json does not know: a rational is the exact string "num/den"
+(denominator 1 included), a polynomial the list of its coefficients
+(constant term first), a model point on the infinity chart has u = "inf",
+an enum is its value and any Record its fields by name.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class VerificationReport(Record):
 
 
 def _wire(value):
-    """The JSON form of a value that json does not know; json.dumps recurses into it."""
+    """The JSON form of a value that json does not know; the encoder recurses into it."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, Polynomial):
@@ -48,6 +49,10 @@ def _wire(value):
     if isinstance(value, Record):
         return {name: getattr(value, name) for name in value.__slots__}
     raise TypeError(f"{type(value).__name__} has no JSON form")
+
+
+# json.dumps with any option builds a new encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_wire)
 
 
 class ReportSink:
@@ -65,7 +70,7 @@ class ReportSink:
 
     def emit(self, report: VerificationReport):
         self.reports.append(report)
-        print(json.dumps(report, sort_keys=True, default=_wire))
+        print(_ENCODER.encode(report))
         if not self.json_only:
             print(f"[{report.status.upper():8s}] {report.check_id}: {report.claim_ref}",
                   file=sys.stderr)
@@ -73,7 +78,7 @@ class ReportSink:
     @staticmethod
     def emit_raw(payload):
         """A non-report JSON line, e.g. one object per found search point."""
-        print(json.dumps(payload, sort_keys=True, default=_wire))
+        print(_ENCODER.encode(payload))
 
     def run_check(self, check_id: str, fn):
         """Time a check returning (status, details) and emit the report.

@@ -11,11 +11,11 @@ from torsion13.elliptic import (INFINITY, CurvePoint, OrderBoundExceededError,
                                 tate_origin)
 from torsion13.family import build_family_instance, w_cubic
 from torsion13.fields import NumberField, NumberFieldElement, PrimeField, QuadraticExtensionField
-from torsion13.polynomials import enumerate_rationals
+from torsion13.polynomials import Polynomial, enumerate_rationals
 from torsion13.sporadic import sporadic_curve
 
-from oracles import (chord_tangent_sum, cubic_chord_tangent_sum, order_by_addition,
-                     weierstrass_equation)
+from oracles import (CubicResidue, chord_tangent_sum, cubic_chord_tangent_sum,
+                     order_by_addition, weierstrass_equation)
 
 
 def qcurve(a1=0, a2=0, a3=0, a4=0, a6=0):
@@ -372,6 +372,9 @@ class TestMultiples:
 # x^3 - x^2 - 82x + 64, the sporadic field's cubic, constant first
 SPORADIC_CUBIC = [Fraction(c) for c in (64, -82, -1, 1)]
 
+# x^3 + x^2 - 2x - 1, a cyclic cubic of discriminant 49
+K_CUBIC = Polynomial([-1, -2, 1, 1])
+
 
 def w_cubic_by_formula(t):
     """The family's w-cubic at t from its stated coefficients, constant first."""
@@ -453,6 +456,94 @@ class TestCubicFieldKernel:
                 total = self.check(SPORADIC_CUBIC, curve, p, q)
                 assert total == (INFINITY if i + j == 13 else kp[(i + j) % 13 - 1])
         assert len(calls) == 144
+
+
+class TestOnCurveKernel:
+    """is_on_curve on points over Q(theta), each test fields.on_curve, against
+    weierstrass_equation of tests/oracles.py evaluated on CubicResidue values,
+    which reduce Fraction polynomials mod the minimal polynomial."""
+
+    @staticmethod
+    def record_kernel(monkeypatch):
+        calls = []
+        kernel = elliptic.on_curve
+
+        def recording(*args):
+            calls.append(args)
+            return kernel(*args)
+        monkeypatch.setattr(elliptic, "on_curve", recording)
+        return calls
+
+    @staticmethod
+    def oracle(cubic, curve, point):
+        def residue(value):
+            return CubicResidue(cubic, coords(value))
+        coefficients = [residue(a) for a in curve.coefficients()]
+        return not weierstrass_equation(coefficients, residue(point.x), residue(point.y))
+
+    def check(self, cubic, curve, point):
+        """The point, each coordinate perturbed by 1 and by theta^2 / 7, and a6
+        moved by theta and by theta^2, which moves the equation off by a value
+        with a zero constant coordinate."""
+        field = point.x.field
+        assert curve.is_on_curve(point) and self.oracle(cubic, curve, point)
+        for shift in (1, field(0, 0, Fraction(1, 7))):
+            for off in (CurvePoint(point.x + shift, point.y), CurvePoint(point.x, point.y + shift)):
+                on = self.oracle(cubic, curve, off)
+                assert not on and curve.is_on_curve(off) == on
+        a1, a2, a3, a4, a6 = curve.coefficients()
+        for shift in (field(0, 1), field(0, 0, 1)):
+            moved = WeierstrassCurve(a1, a2, a3, a4, a6 + shift)
+            on = self.oracle(cubic, moved, point)
+            assert not on and moved.is_on_curve(point) == on
+
+    @pytest.mark.parametrize("t", kernel_parameters(), ids=str)
+    def test_family_points(self, monkeypatch, t):
+        """P, 2P and 3P of E_t over Q(w), and each coordinate moved off the curve."""
+        inst = build_family_instance(t)
+        curve, p = inst.curve, inst.point
+        kp = multiples(curve, p, 3)
+        calls = self.record_kernel(monkeypatch)
+        for q in kp:
+            self.check(w_cubic_by_formula(t), curve, q)
+        assert len(calls) == 3 * 7
+
+    def test_multiples_of_the_sporadic_origin(self, monkeypatch):
+        """kP for 1 <= k <= 12 on the Tate curve over Q(alpha), whose a1, a2 and a3
+        are nonzero elements of Q(alpha), and each coordinate moved off the curve."""
+        _, curve, origin = sporadic_curve()
+        assert all(type(a) is NumberFieldElement and a for a in curve.coefficients()[:3])
+        kp = multiples(curve, origin, 12)
+        calls = self.record_kernel(monkeypatch)
+        for p in kp:
+            self.check(SPORADIC_CUBIC, curve, p)
+        assert len(calls) == 12 * 7
+
+    def test_the_coefficients_are_decoded_once_per_curve(self, monkeypatch):
+        """The on-curve test and the four group-law steps of an order-13 proof
+        read one decoding of the coefficients; a point of another field
+        decodes them again."""
+        decode, decoded = elliptic.coefficient_pairs, []
+        monkeypatch.setattr(elliptic, "coefficient_pairs",
+                            lambda field, cs: decoded.append(field) or decode(field, cs))
+        inst = build_family_instance(Fraction(3, 5))
+        assert point_order(inst.curve, inst.point, 20, expected=13) == 13
+        assert decoded == [inst.field]
+        other = NumberField(K_CUBIC)
+        assert not inst.curve.is_on_curve(CurvePoint(other(0, 1), other(1)))
+        assert decoded == [inst.field, other]
+
+    def test_another_field_raises(self):
+        """A coefficient or a coordinate from another field is a ValueError."""
+        _, curve, origin = sporadic_curve()
+        member = build_family_instance(Fraction(3, 5))
+        w_point = member.point
+        with pytest.raises(ValueError):  # Q(alpha) coefficients, a point over Q(w)
+            curve.is_on_curve(w_point)
+        # rational coefficients, and x and y from two fields
+        for point in (CurvePoint(origin.x, w_point.y), CurvePoint(w_point.x, origin.y)):
+            with pytest.raises(ValueError):
+                member.curve.is_on_curve(point)
 
 
 class TestPointOrder:

@@ -10,7 +10,7 @@ from torsion13.family import (A_NUMERATOR, B_NUMERATOR, DENOMINATOR_QUARTIC,
                               verify_w_disc_identity, w_cubic,
                               w_cubic_discriminant_target)
 from torsion13.fields import NumberField
-from torsion13.polynomials import (discriminant_cubic, enumerate_rationals,
+from torsion13.polynomials import (Polynomial, discriminant_cubic, enumerate_rationals,
                                    poly_gcd, qpoly)
 
 
@@ -24,9 +24,10 @@ class TestBuildInstance:
         assert inst.status == "cyclic"
 
     def test_reducible_w_cubic_is_split(self, monkeypatch):
-        monkeypatch.setattr(family, "w_cubic", lambda t: qpoly(0, -1, 0, 1))  # w^3 - w
+        monkeypatch.setattr(family, "_w_cubic_form", lambda a, b: (0, -1, 0, 1))  # w^3 - w
         inst = build_family_instance(1)
         assert (inst.status, inst.field, inst.point) == ("split", None, None)
+        assert inst.disc_w == 4
 
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -81,6 +82,9 @@ class TestIntegerBuild:
                                                  curve.disc))
         assert (inst.point.x, inst.point.y) == (ref["x"], ref["y"])
         assert inst.point.x.field == inst.field == ref["x"].field
+        # Q(w) built from the cubic's integers keys and hashes as the one built from the cubic
+        assert hash(inst.field) == hash(ref["x"].field)
+        assert inst.field.minimal_polynomial == ref["x"].field.minimal_polynomial
 
 
 class TestVerifyInstance:
@@ -93,42 +97,47 @@ class TestVerifyInstance:
         assert outcome.disc_is_square and outcome.disc_nonzero
 
     def test_point_and_cubic_checked_once(self, monkeypatch):
-        is_on_curve, rational_roots = WeierstrassCurve.is_on_curve, fields.rational_roots
+        """One on-curve test, and the w-cubic's integer form tested once for roots."""
+        is_on_curve, form_roots = WeierstrassCurve.is_on_curve, fields._form_roots
         calls = []
         monkeypatch.setattr(WeierstrassCurve, "is_on_curve",
                             lambda curve, point: calls.append("on") or is_on_curve(curve, point))
-        monkeypatch.setattr(fields, "rational_roots",
-                            lambda p: calls.append("roots") or rational_roots(p))
+        monkeypatch.setattr(fields, "_form_roots",
+                            lambda ints: calls.append("roots") or form_roots(ints))
         assert verify_family_instance(build_family_instance(Fraction(3, 5))).passed
         assert calls.count("on") == 1
         assert calls.count("roots") == 1
 
     def test_work_of_one_family_verify_is_pinned(self, monkeypatch, capsys):
-        """Counts, not times: the Q(w) elements built and the full Q(w) products
-        (convolutions) made by `family verify --t 3/5`.  A rational operand scales
-        numerators and each group-law step divides once, by one product with an
-        adjugate, so more of either count means work came back."""
-        counts = {"elements": 0, "products": 0}
+        """Counts, not times: the Q(w) elements built, the full Q(w) products
+        (convolutions) made, and the Fractions and Polynomials built by
+        `family verify --t 3/5`.  Each group-law step divides once, by one
+        product with an adjugate, and builds only x3 and y3; the on-curve test
+        builds no element; the w-cubic goes from integers to Q(w) and its
+        discriminant without a polynomial.  So more of any count means work
+        came back."""
+        counts = dict.fromkeys(("elements", "products", "fractions", "polynomials"), 0)
 
-        def counting(name, key):
-            original = getattr(fields, name)
+        def counting(owner, name, key):
+            original = getattr(owner, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 counts[key] += 1
-                return original(*args)
-            monkeypatch.setattr(fields, name, wrapper)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        counting("_element", "elements")
-        counting("_product", "products")
+        counting(fields, "_element", "elements")
+        counting(fields, "_product", "products")
+        counting(Fraction, "__new__", "fractions")
+        counting(Polynomial, "__init__", "polynomials")
         assert cli.main(["family", "verify", "--t", "3/5", "--json-only"]) == 0
         assert '"order": 13' in capsys.readouterr().out
-        assert counts == {"elements": 16, "products": 17}
+        assert counts == {"elements": 10, "products": 17, "fractions": 10, "polynomials": 0}
 
     def test_point_off_the_curve_is_a_failure_not_an_error(self):
         inst = build_family_instance(Fraction(3, 5))
-        off = FamilyInstance(inst.t, inst.a_value, inst.b_value, inst.curve, inst.w_minimal,
-                             inst.disc_w, inst.status, inst.field,
-                             CurvePoint(inst.point.x, inst.point.y + 1))
+        off = FamilyInstance(inst.t, inst.a_value, inst.b_value, inst.curve, inst.disc_w,
+                             inst.status, inst.field, CurvePoint(inst.point.x, inst.point.y + 1))
         outcome = verify_family_instance(off)
         assert (outcome.passed, outcome.on_curve, outcome.order) == (False, False, None)
         assert outcome.failures == ("point does not satisfy the curve equation",)
@@ -155,8 +164,8 @@ class TestVerifyInstance:
 
     def test_split_instance_reported_not_verified(self):
         inst = build_family_instance(Fraction(1))
-        split = FamilyInstance(inst.t, inst.a_value, inst.b_value, inst.curve, inst.w_minimal,
-                               inst.disc_w, "split", None, None)
+        split = FamilyInstance(inst.t, inst.a_value, inst.b_value, inst.curve, inst.disc_w,
+                               "split", None, None)
         outcome = verify_family_instance(split)
         assert not outcome.passed
         assert any("splits" in f for f in outcome.failures)

@@ -53,7 +53,7 @@ class TestVerifySporadic:
             counting(name)
         for _, check in verify_sporadic():
             check()
-        assert counts == {"_element": 179, "_product": 87, "_adjugate": 5}
+        assert counts == {"_element": 169, "_product": 84, "_adjugate": 5}
 
     def test_order_thirteen_exactly(self):
         _, curve, origin = sporadic_curve()
